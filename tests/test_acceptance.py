@@ -185,6 +185,19 @@ def _expected_violations(criterion):
     return tuple(sorted(orbit))
 
 
+# predictions_issued / exceptions_matched / boundary_cases of each order-six
+# sweep.  T34's exceptions withdraw the prediction, so its 207 excused graphs
+# are counted apart from its 1771 predictions.
+_A3_COUNTERS = {
+    CriterionId.T31_AdjacencyHC: (121, 0, 0),
+    CriterionId.T32_ComplementAdjacencyHC: (766, 0, 0),
+    CriterionId.T33_SignlessHC: (381, 60, 0),
+    CriterionId.T34_ComplementSignlessHC: (1771, 207, 0),
+    CriterionId.T41_SignlessPathCycle: (837, 36, 0),
+    CriterionId.T42_AdjacencyPathCycle: (612, 36, 0),
+}
+
+
 @pytest.mark.parametrize("criterion,expect_exception_tag", [
     (CriterionId.T31_AdjacencyHC, False),
     (CriterionId.T32_ComplementAdjacencyHC, False),
@@ -198,10 +211,13 @@ def test_a3_exhaustive_criterion_validation(criterion, expect_exception_tag):
     start = time.perf_counter()
     rep = validate(criterion, [6])
     _A3_ELAPSED[criterion.value] = time.perf_counter() - start
-    ok = rep.graphs_checked == 32768 and rep.violations == expected
+    counters = (rep.predictions_issued, rep.exceptions_matched, rep.boundary_cases)
+    ok = (rep.graphs_checked == 32768 and rep.violations == expected
+          and counters == _A3_COUNTERS[criterion])
     if expect_exception_tag:
         ok = ok and rep.exceptions_matched >= 1
-    detail = f" violations={len(rep.violations)} exceptions={rep.exceptions_matched}"
+    detail = (f" violations={len(rep.violations)} exceptions={rep.exceptions_matched}"
+              f" counters={counters}")
     if criterion in _A3_GAP_CLASSES:
         names = ", ".join(name for name, *_ in _A3_GAP_CLASSES[criterion])
         detail += f" (known gap: {names})"

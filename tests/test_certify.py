@@ -16,8 +16,10 @@ from hamspec import (
     complement,
     complete,
     complete_bipartite,
+    criterion_order_minimum,
     criterion_threshold,
     cycle,
+    enumerate_labeled,
     hamilton_profile,
     join_of_two_cliques,
     recognize_exception,
@@ -270,3 +272,44 @@ def test_random_graph_verdicts_sound():
         profile = hamilton_profile(g)
         for crit in (T31, T32, T41, T42):
             assert verdict_is_sound(g, apply_criterion(g, crit), profile)
+
+
+# (criterion, status, prediction, exception) -> number of verdicts over every
+# labeled graph of orders 1-5 (T34 needs order 6 and so issues none).
+_VERDICT_COUNTS_ORDERS_1_TO_5 = {
+    ("T31", "Boundary", "NoPrediction", None): 1,
+    ("T31", "NotSatisfied", "NoPrediction", None): 1049,
+    ("T31", "Satisfied", "HamiltonConnected", "CliquePlusTwoEdges"): 37,
+    ("T31", "Satisfied", "HamiltonConnected", None): 12,
+    ("T32", "Boundary", "NoPrediction", None): 9,
+    ("T32", "NotSatisfied", "NoPrediction", None): 1052,
+    ("T32", "Satisfied", "HamiltonConnected", None): 27,
+    ("T33", "Boundary", "NoPrediction", None): 4,
+    ("T33", "NotSatisfied", "NoPrediction", None): 1030,
+    ("T33", "Satisfied", "HamiltonConnected", "CliquePlusTwoEdges"): 37,
+    ("T33", "Satisfied", "HamiltonConnected", None): 27,
+    ("T41", "NotSatisfied", "NoPrediction", None): 908,
+    ("T41", "Satisfied", "HamiltonianCycle", "CliquePlusPendant"): 35,
+    ("T41", "Satisfied", "HamiltonianCycle", None): 134,
+    ("T41", "Satisfied", "HamiltonianPath", "CliquePlusIsolated"): 13,
+    ("T41", "Satisfied", "HamiltonianPath", None): 9,
+    ("T42", "NotSatisfied", "NoPrediction", None): 972,
+    ("T42", "Satisfied", "HamiltonianCycle", "CliquePlusPendant"): 35,
+    ("T42", "Satisfied", "HamiltonianCycle", None): 64,
+    ("T42", "Satisfied", "HamiltonianPath", "CliquePlusIsolated"): 13,
+    ("T42", "Satisfied", "HamiltonianPath", None): 15,
+}
+
+
+def test_verdict_counts_over_all_small_labeled_graphs():
+    counts = {}
+    for n in range(1, 6):
+        for g in enumerate_labeled(n):
+            for crit in CriterionId:
+                if n < criterion_order_minimum(crit):
+                    continue
+                v = apply_criterion(g, crit)
+                key = (crit.value.split("_")[0], v.status.value, v.predicted.value,
+                       v.exception.value if v.exception else None)
+                counts[key] = counts.get(key, 0) + 1
+    assert counts == _VERDICT_COUNTS_ORDERS_1_TO_5
