@@ -3,10 +3,11 @@
 Each criterion compares one spectral radius (of the graph or its
 complement) against an order-dependent threshold and, when satisfied,
 predicts a Hamiltonian property unless the graph matches the criterion's
-exceptional family.  Strictness is handled with a 1e-9 guard band so
-rounding can never manufacture a prediction: strict criteria report
-Boundary (and predict nothing) inside the band, non-strict criteria treat
-exact equality as satisfied.
+exceptional family.  The criteria are rows of one table (`_CRITERIA`).
+Strictness is handled with a 1e-9 guard band so rounding can never
+manufacture a prediction: strict criteria report Boundary (and predict
+nothing) inside the band, non-strict criteria treat exact equality as
+satisfied.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .graph import Graph, complement
 from .hamilton import HamiltonProfile
@@ -54,14 +56,6 @@ class FamilyTag(Enum):
     REGULAR_JOIN_CLIQUE = "RegularJoinClique"
 
 
-# tags whose presence voids the complement-signless criterion's hypothesis,
-# in the deterministic order used to pick the reported exception
-_SPLIT_FAMILY_TAGS = (
-    FamilyTag.JOIN_OF_TWO_CLIQUES,
-    FamilyTag.BALANCED_COMPLETE_BIPARTITE,
-    FamilyTag.REGULAR_JOIN_CLIQUE,
-)
-
 _RECOGNIZER_BY_TAG = {
     FamilyTag.CLIQUE_PLUS_ISOLATED: recognizers.is_clique_plus_isolated,
     FamilyTag.CLIQUE_PLUS_PENDANT: recognizers.is_clique_plus_pendant,
@@ -92,31 +86,73 @@ class CriterionVerdict:
         }
 
 
+@dataclass(frozen=True)
+class _Tier:
+    """One prediction a criterion issues once its margin clears the tier."""
+
+    strict: bool                  # margin > tol; otherwise margin >= -tol
+    min_order: int
+    predicted: Prediction
+    tags: tuple[FamilyTag, ...]   # exception families, in reporting order
+    withdraws: bool = False       # a matched tag withdraws the prediction
+
+
+@dataclass(frozen=True)
+class _Criterion:
+    """Fires when the radius of g (or of its complement) is above (or below)
+    the order-n threshold."""
+
+    signless: bool                # gamma, else mu
+    of_complement: bool
+    above: bool
+    threshold: Callable[[int], float]
+    min_order: int
+    tiers: tuple[_Tier, ...]      # strongest first
+
+
+_HC = Prediction.HAMILTON_CONNECTED
+_PATH_CYCLE = (
+    _Tier(True, 3, Prediction.HAMILTONIAN_CYCLE, (FamilyTag.CLIQUE_PLUS_PENDANT,)),
+    _Tier(False, 1, Prediction.HAMILTONIAN_PATH, (FamilyTag.CLIQUE_PLUS_ISOLATED,)),
+)
+
+_CRITERIA = {
+    CriterionId.T31_AdjacencyHC: _Criterion(
+        signless=False, of_complement=False, above=True, min_order=1,
+        threshold=lambda n: -0.5 + math.sqrt((n - 1.5) ** 2 + 2),
+        tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),)),
+    CriterionId.T32_ComplementAdjacencyHC: _Criterion(
+        signless=False, of_complement=True, above=False, min_order=4,
+        threshold=lambda n: math.sqrt((n - 2) ** 2 / n),
+        tiers=(_Tier(True, 1, _HC, ()),)),
+    # the threshold's 2/(n-1) term is undefined at n = 1
+    CriterionId.T33_SignlessHC: _Criterion(
+        signless=True, of_complement=False, above=True, min_order=2,
+        threshold=lambda n: 2 * (n - 2) + 2 / (n - 1),
+        tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),)),
+    # the split families void the hypothesis rather than excuse a prediction
+    CriterionId.T34_ComplementSignlessHC: _Criterion(
+        signless=True, of_complement=True, above=False, min_order=6,
+        threshold=lambda n: float(n - 2),
+        tiers=(_Tier(False, 1, _HC, (FamilyTag.JOIN_OF_TWO_CLIQUES,
+                                     FamilyTag.BALANCED_COMPLETE_BIPARTITE,
+                                     FamilyTag.REGULAR_JOIN_CLIQUE), withdraws=True),)),
+    CriterionId.T41_SignlessPathCycle: _Criterion(
+        signless=True, of_complement=False, above=True, min_order=1,
+        threshold=lambda n: float(2 * (n - 2)), tiers=_PATH_CYCLE),
+    CriterionId.T42_AdjacencyPathCycle: _Criterion(
+        signless=False, of_complement=False, above=True, min_order=1,
+        threshold=lambda n: float(n - 2), tiers=_PATH_CYCLE),
+}
+
+
 def criterion_threshold(criterion: CriterionId, n: int) -> float:
     """The order-n threshold the criterion's spectral radius is compared to."""
-    if criterion is CriterionId.T31_AdjacencyHC:
-        return -0.5 + math.sqrt((n - 1.5) ** 2 + 2)
-    if criterion is CriterionId.T32_ComplementAdjacencyHC:
-        return math.sqrt((n - 2) ** 2 / n)
-    if criterion is CriterionId.T33_SignlessHC:
-        return 2 * (n - 2) + 2 / (n - 1)
-    if criterion is CriterionId.T34_ComplementSignlessHC:
-        return float(n - 2)
-    if criterion is CriterionId.T41_SignlessPathCycle:
-        return float(2 * (n - 2))
-    if criterion is CriterionId.T42_AdjacencyPathCycle:
-        return float(n - 2)
-    raise ValueError(f"unknown criterion {criterion!r}")
+    return _CRITERIA[criterion].threshold(n)
 
 
 def criterion_order_minimum(criterion: CriterionId) -> int:
-    if criterion is CriterionId.T32_ComplementAdjacencyHC:
-        return 4
-    if criterion is CriterionId.T34_ComplementSignlessHC:
-        return 6
-    if criterion is CriterionId.T33_SignlessHC:
-        return 2  # the threshold's 2/(n-1) term is undefined at n = 1
-    return 1
+    return _CRITERIA[criterion].min_order
 
 
 def recognize_exception(g: Graph) -> set[FamilyTag]:
@@ -128,87 +164,34 @@ def apply_criterion(g: Graph, criterion: CriterionId, *,
                     threshold_shift: float = 0.0) -> CriterionVerdict:
     """Evaluate one criterion on g.
 
+    The first tier the margin clears gives Satisfied with its prediction and
+    the first exception family that matches; a margin inside the guard band
+    that clears no tier gives Boundary.  The cycle tier of the path/cycle
+    criteria needs n >= 3 (no smaller graph has a cycle).
+
     `threshold_shift` is a fault-injection hook for harness self-tests only:
     it is added to the threshold before comparison, so a negative shift makes
     a greater-than criterion fire on graphs it should not.
     """
+    spec = _CRITERIA[criterion]
     n = g.n
-    minimum = criterion_order_minimum(criterion)
-    if n < minimum:
-        raise ValueError(f"{criterion.value} requires order >= {minimum}, got {n}")
-
-    threshold = criterion_threshold(criterion, n) + threshold_shift
-
-    if criterion is CriterionId.T31_AdjacencyHC:
-        lhs = adjacency_spectral_radius(g)
-        return _strict_hc(criterion, g, lhs, threshold, FamilyTag.CLIQUE_PLUS_TWO_EDGES)
-    if criterion is CriterionId.T33_SignlessHC:
-        lhs = signless_spectral_radius(g)
-        return _strict_hc(criterion, g, lhs, threshold, FamilyTag.CLIQUE_PLUS_TWO_EDGES)
-    if criterion is CriterionId.T32_ComplementAdjacencyHC:
-        lhs = adjacency_spectral_radius(complement(g))
-        margin = threshold - lhs  # satisfied when strictly below
-        if margin > STRICTNESS_TOL:
-            return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.SATISFIED,
-                                    Prediction.HAMILTON_CONNECTED, None)
-        if margin >= -STRICTNESS_TOL:
-            return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.BOUNDARY,
-                                    Prediction.NO_PREDICTION, None)
-        return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.NOT_SATISFIED,
-                                Prediction.NO_PREDICTION, None)
-    if criterion is CriterionId.T34_ComplementSignlessHC:
-        lhs = signless_spectral_radius(complement(g))
-        if threshold - lhs >= -STRICTNESS_TOL:  # non-strict: equality satisfies
-            exception = None
-            for tag in _SPLIT_FAMILY_TAGS:
-                if _RECOGNIZER_BY_TAG[tag](g):
-                    exception = tag
-                    break
-            predicted = Prediction.NO_PREDICTION if exception else Prediction.HAMILTON_CONNECTED
+    if n < spec.min_order:
+        raise ValueError(f"{criterion.value} requires order >= {spec.min_order}, got {n}")
+    threshold = spec.threshold(n) + threshold_shift
+    h = complement(g) if spec.of_complement else g
+    lhs = signless_spectral_radius(h) if spec.signless else adjacency_spectral_radius(h)
+    margin = lhs - threshold if spec.above else threshold - lhs
+    for tier in spec.tiers:
+        if n >= tier.min_order and (margin > STRICTNESS_TOL if tier.strict
+                                    else margin >= -STRICTNESS_TOL):
+            exception = next((tag for tag in tier.tags if _RECOGNIZER_BY_TAG[tag](g)), None)
+            predicted = (Prediction.NO_PREDICTION if exception and tier.withdraws
+                         else tier.predicted)
             return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.SATISFIED,
                                     predicted, exception)
-        return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.NOT_SATISFIED,
-                                Prediction.NO_PREDICTION, None)
-    if criterion is CriterionId.T41_SignlessPathCycle:
-        return _two_tier(criterion, g, signless_spectral_radius(g), threshold)
-    if criterion is CriterionId.T42_AdjacencyPathCycle:
-        return _two_tier(criterion, g, adjacency_spectral_radius(g), threshold)
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
-def _strict_hc(criterion, g, lhs, threshold, exception_tag) -> CriterionVerdict:
-    """Strictly-above-threshold criteria that predict Hamilton-connectivity."""
-    margin = lhs - threshold
-    if margin > STRICTNESS_TOL:
-        exception = exception_tag if _RECOGNIZER_BY_TAG[exception_tag](g) else None
-        return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.SATISFIED,
-                                Prediction.HAMILTON_CONNECTED, exception)
-    if margin >= -STRICTNESS_TOL:
-        return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.BOUNDARY,
-                                Prediction.NO_PREDICTION, None)
-    return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.NOT_SATISFIED,
-                            Prediction.NO_PREDICTION, None)
-
-
-def _two_tier(criterion, g, lhs, threshold) -> CriterionVerdict:
-    """Non-strict clause predicts a path, strict clause upgrades to a cycle.
-
-    The cycle clause is only applied for n >= 3 (no smaller graph has a
-    cycle); below that the path clause still applies.
-    """
-    margin = lhs - threshold
-    if margin > STRICTNESS_TOL and g.n >= 3:
-        tag = FamilyTag.CLIQUE_PLUS_PENDANT
-        exception = tag if _RECOGNIZER_BY_TAG[tag](g) else None
-        return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.SATISFIED,
-                                Prediction.HAMILTONIAN_CYCLE, exception)
-    if margin >= -STRICTNESS_TOL:
-        tag = FamilyTag.CLIQUE_PLUS_ISOLATED
-        exception = tag if _RECOGNIZER_BY_TAG[tag](g) else None
-        return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.SATISFIED,
-                                Prediction.HAMILTONIAN_PATH, exception)
-    return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.NOT_SATISFIED,
-                            Prediction.NO_PREDICTION, None)
+    status = (CriterionStatus.BOUNDARY if abs(margin) <= STRICTNESS_TOL
+              else CriterionStatus.NOT_SATISFIED)
+    return CriterionVerdict(criterion, lhs, threshold, status, Prediction.NO_PREDICTION, None)
 
 
 def verdict_is_sound(g: Graph, verdict: CriterionVerdict,

@@ -119,11 +119,19 @@ def _input_graphs(args) -> list[Graph]:
         return [parse_graph6(args.g6)]
     if args.family is not None:
         return [_family_graph(args)]
-    with open(args.file, encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
+    graphs = []
+    # latin-1 maps every byte to the code point of its value, so a byte
+    # outside graph6's range reaches the parser and is named with its line
+    with open(args.file, encoding="latin-1") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    graphs.append(parse_graph6(line))
+                except Graph6Error as exc:
+                    raise ValueError(f"{args.file} line {number}: {exc}") from exc
+    if not graphs:
         raise ValueError(f"no graph6 lines in {args.file}")
-    return [parse_graph6(line) for line in lines]
+    return graphs
 
 
 def _oracle_cap(args) -> int:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph
@@ -23,12 +23,11 @@ from .closure import k_closure
 from .hamilton import (
     CapacityError,
     DEFAULT_ORACLE_CAP,
-    hamilton_profile,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
     is_hamilton_connected,
 )
-from .certify import CriterionId, CriterionStatus, Prediction, apply_criterion, verdict_is_sound
+from .certify import CriterionId, CriterionStatus, Prediction, apply_criterion
 from .spectral import adjacency_spectral_radius, signless_spectral_radius
 
 ENUMERATION_CAP = 7  # 2^21 labeled graphs; beyond this use sampling
@@ -179,51 +178,56 @@ def merge_reports(reports: Sequence[ValidationReport]) -> ValidationReport:
     )
 
 
-@lru_cache(maxsize=1 << 17)
-def _profile_cached(g: Graph):
-    return hamilton_profile(g)
+@lru_cache(maxsize=3 << 17)
+def _oracle(g: Graph, k: int) -> bool:
+    """The property the k-closure preserves: k = n-1 a Hamiltonian path,
+    k = n a Hamiltonian cycle, k = n+1 Hamilton-connectivity."""
+    if k == g.n - 1:
+        return has_hamiltonian_path(g)
+    if k == g.n:
+        return has_hamiltonian_cycle(g)
+    return is_hamilton_connected(g)
 
 
-def _graph_stream(orders, mode, samples, p, seed) -> Iterator[Graph]:
-    rng_seed = seed
-    for i, n in enumerate(orders):
-        if mode is ValidationMode.EXHAUSTIVE_LABELED:
-            yield from enumerate_labeled(n)
-        else:
-            yield from sample_random(n, p, samples, rng_seed + i)
+# the closure order k - n whose property each prediction claims
+_CLOSURE_OFFSET = {
+    Prediction.HAMILTONIAN_PATH: -1,
+    Prediction.HAMILTONIAN_CYCLE: 0,
+    Prediction.HAMILTON_CONNECTED: 1,
+}
 
 
-def validate(criterion: CriterionId, orders: Iterable[int],
-             mode: ValidationMode = ValidationMode.EXHAUSTIVE_LABELED, *,
-             samples: int = 500, p: float = 0.5, seed: int = 1,
-             threshold_shift: float = 0.0) -> ValidationReport:
-    """Check one criterion against the exact oracle over a graph corpus.
+def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
+           p: float, seed: int, check) -> ValidationReport:
+    """Run `check(g) -> (verdict or None, sound)` over the corpus and report.
 
-    Every graph is scored with apply_criterion, then the oracle, then the
-    soundness gate; unsound verdicts record the graph6 string as a
-    violation.  Boundary statuses are counted, never treated as violations.
-    `threshold_shift` is the fault-injection hook (see apply_criterion).
+    Verdicts feed the prediction, exception and boundary counters; an
+    unsound graph is recorded as a graph6 violation.
     """
     orders = tuple(orders)
+    if not orders:
+        raise ValueError("no orders to validate")
+    if mode is ValidationMode.RANDOM_SAMPLE and samples < 1:
+        raise ValueError(f"random mode needs at least one sample per order, got {samples}")
     for n in orders:
         if n > DEFAULT_ORACLE_CAP:
             raise CapacityError(f"order {n} above oracle cap {DEFAULT_ORACLE_CAP}")
     start = time.perf_counter()
     checked = predictions = exceptions = boundary = 0
     violations = []
-    for g in _graph_stream(orders, mode, samples, p, seed):
+    corpora = (enumerate_labeled(n) if mode is ValidationMode.EXHAUSTIVE_LABELED
+               else sample_random(n, p, samples, seed + i) for i, n in enumerate(orders))
+    for g in chain.from_iterable(corpora):
         checked += 1
-        verdict = apply_criterion(g, criterion, threshold_shift=threshold_shift)
-        if verdict.status is CriterionStatus.BOUNDARY:
-            boundary += 1
-        if verdict.predicted is not Prediction.NO_PREDICTION:
-            predictions += 1
-        if verdict.exception is not None:
-            exceptions += 1
-        if not verdict_is_sound(g, verdict, _profile_cached(g)):
+        verdict, sound = check(g)
+        if verdict is not None:
+            boundary += verdict.status is CriterionStatus.BOUNDARY
+            predictions += verdict.predicted is not Prediction.NO_PREDICTION
+            exceptions += verdict.exception is not None
+        if not sound:
             violations.append(write_graph6(g))
     return ValidationReport(
-        criterion=criterion.value,
+        criterion=name,
         orders=orders,
         mode=mode.value,
         graphs_checked=checked,
@@ -235,19 +239,26 @@ def validate(criterion: CriterionId, orders: Iterable[int],
     )
 
 
-@lru_cache(maxsize=1 << 17)
-def _path_cached(g: Graph) -> bool:
-    return has_hamiltonian_path(g)
+def validate(criterion: CriterionId, orders: Iterable[int],
+             mode: ValidationMode = ValidationMode.EXHAUSTIVE_LABELED, *,
+             samples: int = 500, p: float = 0.5, seed: int = 1,
+             threshold_shift: float = 0.0) -> ValidationReport:
+    """Check one criterion against the exact oracle over a graph corpus.
 
+    Every graph is scored with apply_criterion.  The oracle runs only for a
+    verdict that predicts a property without naming an exception, since no
+    other verdict can be unsound, and it decides only the predicted
+    property; a graph that lacks it is recorded by its graph6 string as a
+    violation.  Boundary statuses are counted, never treated as violations.
+    `threshold_shift` is the fault-injection hook (see apply_criterion).
+    """
+    def check(g):
+        verdict = apply_criterion(g, criterion, threshold_shift=threshold_shift)
+        if verdict.predicted is Prediction.NO_PREDICTION or verdict.exception is not None:
+            return verdict, True
+        return verdict, _oracle(g, g.n + _CLOSURE_OFFSET[verdict.predicted])
 
-@lru_cache(maxsize=1 << 17)
-def _cycle_cached(g: Graph) -> bool:
-    return has_hamiltonian_cycle(g)
-
-
-@lru_cache(maxsize=1 << 17)
-def _hc_cached(g: Graph) -> bool:
-    return is_hamilton_connected(g)
+    return _sweep(criterion.value, orders, mode, samples, p, seed, check)
 
 
 def validate_closure_equivalence(orders: Iterable[int],
@@ -260,32 +271,11 @@ def validate_closure_equivalence(orders: Iterable[int],
     cycle the n-closure, and Hamilton-connectivity the (n+1)-closure, in
     both directions.
     """
-    orders = tuple(orders)
-    for n in orders:
-        if n > DEFAULT_ORACLE_CAP:
-            raise CapacityError(f"order {n} above oracle cap {DEFAULT_ORACLE_CAP}")
-    start = time.perf_counter()
-    checked = 0
-    violations = []
-    for g in _graph_stream(orders, mode, samples, p, seed):
-        checked += 1
-        n = g.n
-        ok = (_path_cached(g) == _path_cached(k_closure(g, n - 1).graph)
-              and _cycle_cached(g) == _cycle_cached(k_closure(g, n).graph)
-              and _hc_cached(g) == _hc_cached(k_closure(g, n + 1).graph))
-        if not ok:
-            violations.append(write_graph6(g))
-    return ValidationReport(
-        criterion="ClosureEquivalence",
-        orders=orders,
-        mode=mode.value,
-        graphs_checked=checked,
-        predictions_issued=0,
-        exceptions_matched=0,
-        violations=tuple(sorted(violations)),
-        boundary_cases=0,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-    )
+    def check(g):
+        return None, all(_oracle(g, k) == _oracle(k_closure(g, k).graph, k)
+                         for k in (g.n - 1, g.n, g.n + 1))
+
+    return _sweep("ClosureEquivalence", orders, mode, samples, p, seed, check)
 
 
 @dataclass(frozen=True)

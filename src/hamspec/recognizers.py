@@ -6,7 +6,7 @@ O(n^2) bit operations; no general isomorphism testing is involved.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, _bits
 
 
 def is_complete(g: Graph) -> bool:
@@ -124,16 +124,16 @@ def all_nontrivial_components_regular_or_semiregular(g: Graph) -> bool:
     for comp in g.components():
         if comp.bit_count() < 2:
             continue
-        cdegs = {degs[v] for v in _mask_bits(comp)}
+        cdegs = {degs[v] for v in _bits(comp)}
         if len(cdegs) == 1:
             continue
         parts = _bipartition(g, comp)
         if parts is None:
             return False
         a, b = parts
-        if len({degs[v] for v in _mask_bits(a)}) != 1:
+        if len({degs[v] for v in _bits(a)}) != 1:
             return False
-        if len({degs[v] for v in _mask_bits(b)}) != 1:
+        if len({degs[v] for v in _bits(b)}) != 1:
             return False
     return True
 
@@ -141,34 +141,20 @@ def all_nontrivial_components_regular_or_semiregular(g: Graph) -> bool:
 # -- helpers ---------------------------------------------------------------
 
 
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask -= b
-        out.append(b.bit_length() - 1)
-    return out
-
-
 def _mask_is_clique(g: Graph, mask: int) -> bool:
-    return all(g.rows[v] & mask == mask ^ (1 << v) for v in _mask_bits(mask))
+    return all(g.rows[v] & mask == mask ^ (1 << v) for v in _bits(mask))
 
 
 def _induced(g: Graph, mask: int):
     """Induced subgraph on the mask, or None when the mask is empty."""
-    verts = _mask_bits(mask)
+    verts = _bits(mask)
     if not verts:
         return None
     index = {v: i for i, v in enumerate(verts)}
     rows = [0] * len(verts)
     for v in verts:
-        m = g.rows[v] & mask
-        r = 0
-        while m:
-            b = m & -m
-            m -= b
-            r |= 1 << index[b.bit_length() - 1]
-        rows[index[v]] = r
+        for u in _bits(g.rows[v] & mask):
+            rows[index[v]] |= 1 << index[u]
     return Graph(len(verts), tuple(rows))
 
 
@@ -179,18 +165,14 @@ def _bipartition(g: Graph, mask: int) -> tuple[int, int] | None:
     """
     color = {}
     a = b = 0
-    for start in _mask_bits(mask):
+    for start in _bits(mask):
         if start in color:
             continue
         color[start] = 0
         queue = [start]
         while queue:
             v = queue.pop()
-            m = g.rows[v]
-            while m:
-                bit = m & -m
-                m -= bit
-                u = bit.bit_length() - 1
+            for u in _bits(g.rows[v]):
                 if u not in color:
                     color[u] = color[v] ^ 1
                     queue.append(u)

@@ -122,6 +122,15 @@ def test_validate_reports_violations_with_exit_one(capsys):
     assert len(json.loads(out)["violations"]) > 0
 
 
+@pytest.mark.parametrize("extra", [["--orders", ","],
+                                   ["--orders", "6", "--mode", "random", "--samples", "-3"]])
+def test_validate_rejects_empty_corpora(capsys, extra):
+    code, out, err = run_cli(capsys, "validate", "--criterion", "T42", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_validate_long_criterion_name(capsys):
     code, out, _ = run_cli(capsys, "validate", "--criterion", "T42_AdjacencyPathCycle",
                            "--orders", "4")
@@ -151,6 +160,19 @@ def test_file_input_and_output_roundtrip(tmp_path, capsys):
     payload = json.loads(dst.read_text())
     assert isinstance(payload, list) and len(payload) == 2
     assert payload[1]["has_cycle"] is True  # the five-cycle
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"C~\n\nC(\nDhc\n", "line 3: byte 40 outside graph6 range 63..126 (byte offset 1)"),
+    (b"C~\nC\xc3\n", "line 2: byte 195 outside graph6 range 63..126 (byte offset 1)"),
+])
+def test_file_input_error_names_the_line(tmp_path, capsys, content, message):
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(content)
+    code, out, err = run_cli(capsys, "oracle", "--file", str(src))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_remark_subcommand(capsys):

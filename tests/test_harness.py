@@ -140,6 +140,18 @@ def test_validate_rejects_oversize_orders():
         validate(T42, [8], ValidationMode.EXHAUSTIVE_LABELED)
 
 
+@pytest.mark.parametrize("run", [validate_closure_equivalence,
+                                 lambda *a, **k: validate(T42, *a, **k)])
+def test_empty_corpora_are_rejected(run):
+    """A sweep that would check no graph must not report a pass."""
+    with pytest.raises(ValueError, match="no orders"):
+        run([])
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            run([6], ValidationMode.RANDOM_SAMPLE, samples=samples)
+    assert run([4], samples=0).graphs_checked == 64  # exhaustive mode ignores samples
+
+
 def test_closure_equivalence_exhaustive_small():
     rep = validate_closure_equivalence([4])
     assert rep.graphs_checked == 64

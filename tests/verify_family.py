@@ -18,7 +18,8 @@ from hamspec import (
     join_of_two_cliques,
 )
 from hamspec.certify import FamilyTag
-from hamspec.recognizers import _bipartition, _mask_bits, universal_vertices
+from hamspec.graph import _bits
+from hamspec.recognizers import _bipartition, universal_vertices
 
 
 def _perm_from_order(order: list[int]) -> list[int]:
@@ -85,7 +86,7 @@ def verify_family_member(g: Graph, tag: FamilyTag) -> bool:
         parts = _bipartition(g, (1 << n) - 1)
         if parts is None:
             return False
-        a, b = (_mask_bits(m) for m in parts)
+        a, b = (_bits(m) for m in parts)
         if len(a) != len(b):
             return False
         order = a + b
@@ -111,7 +112,7 @@ def verify_balanced_minus_matching(g: Graph) -> bool:
     parts = _bipartition(g, (1 << n) - 1)
     if parts is None:
         return False
-    a, b = (_mask_bits(m) for m in parts)
+    a, b = (_bits(m) for m in parts)
     if len(a) != len(b):
         return False
     # each left vertex misses exactly one right vertex: pair them up
