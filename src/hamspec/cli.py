@@ -170,12 +170,12 @@ def _analyze_one(g: Graph, cap: int) -> dict:
                 {"criterion": criterion.value, "reason": f"requires order >= {minimum}"})
         else:
             payload["criteria"].append(apply_criterion(g, criterion).to_json_dict())
-    if g.n <= cap:
+    try:
         payload["oracle"] = hamilton_profile(g, cap).to_json_dict()
         payload["oracle_skipped"] = None
-    else:
+    except CapacityError as exc:
         payload["oracle"] = None
-        payload["oracle_skipped"] = f"order {g.n} above oracle cap {cap}"
+        payload["oracle_skipped"] = str(exc)
     return payload
 
 

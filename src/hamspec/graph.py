@@ -60,11 +60,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            m = self.rows[u] >> (u + 1) << (u + 1)
-            while m:
-                b = m & -m
-                m -= b
-                yield (u, b.bit_length() - 1)
+            for v in _bits(self.rows[u] >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     # -- structure --------------------------------------------------------
 
@@ -98,11 +95,8 @@ class Graph:
         rows = [0] * self.n
         for v, row in enumerate(self.rows):
             r = 0
-            m = row
-            while m:
-                b = m & -m
-                m -= b
-                r |= 1 << perm[b.bit_length() - 1]
+            for u in _bits(row):
+                r |= 1 << perm[u]
             rows[perm[v]] = r
         return Graph(self.n, tuple(rows))
 
@@ -162,17 +156,6 @@ def degree_data(g: Graph) -> tuple[list[int], list[Fraction]]:
     m(v) is the mean degree over N(v), and 0 by convention when v is isolated.
     """
     degs = g.degrees()
-    avg = []
-    for v in range(g.n):
-        d = degs[v]
-        if d == 0:
-            avg.append(Fraction(0))
-        else:
-            total = 0
-            m = g.rows[v]
-            while m:
-                b = m & -m
-                m -= b
-                total += degs[b.bit_length() - 1]
-            avg.append(Fraction(total, d))
+    avg = [Fraction(sum(degs[u] for u in _bits(row)), degs[v]) if degs[v] else Fraction(0)
+           for v, row in enumerate(g.rows)]
     return degs, avg

@@ -2,8 +2,11 @@
 
 The oracle is a subset dynamic program over (visited set, endpoint) states
 run from a fixed start vertex: O(2^n * n^2) time and one 2^n-entry table,
-exact for every input.  Hamilton-connectivity reads all-pairs answers off
-n such runs (one per start) instead of one per vertex pair.
+exact for every input.  One scan runs it from starts 0, 1, ...; each
+predicate stops it as soon as its answer is settled: a Hamiltonian path at
+the first start that reaches every vertex, a cycle after start 0,
+Hamilton-connectivity at the first start with a missing endpoint.  The full
+profile runs every start, so its cost does not depend on the answer.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import Callable
 
 from .graph import Graph
 
@@ -40,12 +44,13 @@ class HamiltonProfile:
         }
 
 
-def _check_cap(g: Graph, max_order: int | None) -> None:
+def _check_cap(n: int, max_order: int | None) -> None:
+    """Reject a cap above the hard ceiling, then an order above the cap."""
     cap = DEFAULT_ORACLE_CAP if max_order is None else max_order
     if cap > HARD_ORACLE_CAP:
         raise ValueError(f"oracle cap cannot exceed {HARD_ORACLE_CAP}")
-    if g.n > cap:
-        raise CapacityError(f"order {g.n} above oracle cap {cap}")
+    if n > cap:
+        raise CapacityError(f"order {n} above oracle cap {cap}")
 
 
 def _endpoint_table(rows: tuple[int, ...], n: int, start: int) -> list[int]:
@@ -82,6 +87,33 @@ def _reconstruct(rows, dp, start: int, end: int, n: int) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _scan(g: Graph, max_order: int | None,
+          settled: Callable[[tuple | None, tuple | None], bool]) -> HamiltonProfile:
+    """The profile from starts 0, 1, ..., stopping after the first start at
+    which `settled(witness, failing_pair)` holds.  has_cycle is exact after
+    start 0; a field the caller does not ask for may be wrong after a stop."""
+    _check_cap(g.n, max_order)
+    if not g.is_connected():
+        return HamiltonProfile(False, False, False, None, (0, 1))
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    has_cycle = False
+    witness = failing = None
+    for s in range(n):
+        dp = _endpoint_table(rows, n, s)
+        ends = dp[full]
+        if s == 0:
+            has_cycle = n >= 3 and bool(ends & rows[0])
+        if ends and witness is None:
+            witness = _reconstruct(rows, dp, s, (ends & -ends).bit_length() - 1, n)
+        missing = (full ^ (1 << s)) & ~ends
+        if missing and failing is None:
+            failing = (s, (missing & -missing).bit_length() - 1)
+        if settled(witness, failing):
+            break
+    return HamiltonProfile(witness is not None, has_cycle, failing is None, witness, failing)
+
+
 def hamilton_profile(g: Graph, max_order: int | None = None) -> HamiltonProfile:
     """Exact path / cycle / Hamilton-connectivity answers with witnesses.
 
@@ -90,65 +122,22 @@ def hamilton_profile(g: Graph, max_order: int | None = None) -> HamiltonProfile:
     Hamilton-connected; cycles need n >= 3.  Disconnected graphs
     short-circuit to all-false.  The witness is the first path found in
     (start, endpoint) order; the failing pair is the lexicographically
-    smallest pair with no spanning path.
+    smallest pair with no spanning path.  Every start runs, whatever the
+    answers turn out to be.
     """
-    _check_cap(g, max_order)
-    n = g.n
-    if n == 1:
-        return HamiltonProfile(True, False, True, (0,), None)
-    if not g.is_connected():
-        return HamiltonProfile(False, False, False, None, (0, 1))
-    rows = g.rows
-    full = (1 << n) - 1
-    has_path = False
-    has_cycle = False
-    connected_all = True
-    witness = None
-    failing = None
-    for s in range(n):
-        dp = _endpoint_table(rows, n, s)
-        ends = dp[full]
-        if s == 0 and n >= 3 and ends & rows[0]:
-            has_cycle = True
-        if ends and not has_path:
-            has_path = True
-            end = (ends & -ends).bit_length() - 1
-            witness = _reconstruct(rows, dp, s, end, n)
-        if connected_all:
-            missing = (full ^ (1 << s)) & ~ends
-            if missing:
-                connected_all = False
-                failing = (s, (missing & -missing).bit_length() - 1)
-    return HamiltonProfile(has_path, has_cycle, connected_all, witness, failing)
+    return _scan(g, max_order, lambda witness, failing: False)
 
 
 def has_hamiltonian_path(g: Graph, max_order: int | None = None) -> bool:
-    _check_cap(g, max_order)
-    if g.n == 1:
-        return True
-    if not g.is_connected():
-        return False
-    full = (1 << g.n) - 1
-    return any(_endpoint_table(g.rows, g.n, s)[full] for s in range(g.n))
+    return _scan(g, max_order, lambda witness, failing: witness is not None).has_path
 
 
 def has_hamiltonian_cycle(g: Graph, max_order: int | None = None) -> bool:
-    _check_cap(g, max_order)
-    if g.n < 3 or not g.is_connected():
-        return False
-    full = (1 << g.n) - 1
-    return bool(_endpoint_table(g.rows, g.n, 0)[full] & g.rows[0])
+    return _scan(g, max_order, lambda witness, failing: True).has_cycle
 
 
 def is_hamilton_connected(g: Graph, max_order: int | None = None) -> bool:
-    _check_cap(g, max_order)
-    if g.n == 1:
-        return True
-    if not g.is_connected():
-        return False
-    full = (1 << g.n) - 1
-    return all(_endpoint_table(g.rows, g.n, s)[full] == full ^ (1 << s)
-               for s in range(g.n))
+    return _scan(g, max_order, lambda witness, failing: failing is not None).hamilton_connected
 
 
 @dataclass(frozen=True)

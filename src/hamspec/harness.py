@@ -23,6 +23,7 @@ from .closure import k_closure
 from .hamilton import (
     CapacityError,
     DEFAULT_ORACLE_CAP,
+    _check_cap,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
     is_hamilton_connected,
@@ -77,13 +78,14 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 
 def enumerate_labeled(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order."""
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order.
+
+    An order above the cap is rejected at the call, not at the first draw.
+    """
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration capped at order {ENUMERATION_CAP}; use sample_random")
-    npairs = n * (n - 1) // 2
-    for mask in range(1 << npairs):
-        yield graph_from_edge_mask(n, mask)
+    return (graph_from_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
 
 
 def sample_random(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
@@ -210,13 +212,14 @@ def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
     if mode is ValidationMode.RANDOM_SAMPLE and samples < 1:
         raise ValueError(f"random mode needs at least one sample per order, got {samples}")
     for n in orders:
-        if n > DEFAULT_ORACLE_CAP:
-            raise CapacityError(f"order {n} above oracle cap {DEFAULT_ORACLE_CAP}")
+        _check_cap(n, None)
     start = time.perf_counter()
     checked = predictions = exceptions = boundary = 0
     violations = []
-    corpora = (enumerate_labeled(n) if mode is ValidationMode.EXHAUSTIVE_LABELED
-               else sample_random(n, p, samples, seed + i) for i, n in enumerate(orders))
+    # a list, so every corpus is set up (and an order over the enumeration
+    # cap rejected) before the first graph is built
+    corpora = [enumerate_labeled(n) if mode is ValidationMode.EXHAUSTIVE_LABELED
+               else sample_random(n, p, samples, seed + i) for i, n in enumerate(orders)]
     for g in chain.from_iterable(corpora):
         checked += 1
         verdict, sound = check(g)
@@ -321,8 +324,8 @@ def remark_scan(r_values: Iterable[int],
 
     Each row checks the exact sign conditions (f(n-2) > 0, g(2n-4) <= 0) and
     the spectral gates (mu < n-2, gamma >= 2(n-2)); the oracle column is
-    filled only when the order is within the oracle cap.  The window is
-    nonempty for every r >= 2.
+    filled only when the order is within `oracle_cap`, which may not exceed
+    the oracle's hard ceiling.  The window is nonempty for every r >= 2.
     """
     rows = []
     for r in r_values:
@@ -333,6 +336,10 @@ def remark_scan(r_values: Iterable[int],
             gamma = signless_spectral_radius(g)
             f_val = (2 * r - 1) * (r - 1) - s
             g_val = 4 * (r - 1) ** 2 - 2 * s
+            try:
+                has_cycle = has_hamiltonian_cycle(g, oracle_cap)
+            except CapacityError:
+                has_cycle = None
             row = RemarkRow(
                 r=r, s=s, n=n,
                 f_at_n_minus_2=f_val,
@@ -340,7 +347,7 @@ def remark_scan(r_values: Iterable[int],
                 mu=mu, gamma=gamma,
                 mu_below=mu < n - 2 - 1e-9,
                 gamma_above=gamma >= 2 * (n - 2) - 1e-9,
-                oracle_has_cycle=has_hamiltonian_cycle(g) if n <= oracle_cap else None,
+                oracle_has_cycle=has_cycle,
             )
             if not (row.f_at_n_minus_2 > 0 and row.g_at_2n_minus_4 <= 0
                     and row.mu_below and row.gamma_above):

@@ -97,6 +97,52 @@ def has_spanning_path_between(g: Graph, u: int, v: int) -> bool:
                for walk in ((u, *mid, v) for mid in permutations(inner)))
 
 
+def reference_profile(g: Graph) -> dict:
+    """`hamilton_profile(g).to_json_dict()` by the plain subset DP: one
+    endpoint table from every start, with no early stop."""
+    n, rows = g.n, g.rows
+    if n == 1:
+        return {"has_path": True, "has_cycle": False, "hamilton_connected": True,
+                "witness_path": [0], "failing_pair": None}
+    if not g.is_connected():
+        return {"has_path": False, "has_cycle": False, "hamilton_connected": False,
+                "witness_path": None, "failing_pair": [0, 1]}
+    full = (1 << n) - 1
+    has_cycle = False
+    witness = failing = None
+    for s in range(n):
+        dp = [0] * (1 << n)
+        dp[1 << s] = 1 << s
+        for mask in range(1 << s, 1 << n):
+            ends = dp[mask]
+            while ends:
+                vbit = ends & -ends
+                ends -= vbit
+                ext = rows[vbit.bit_length() - 1] & ~mask
+                while ext:
+                    ubit = ext & -ext
+                    ext -= ubit
+                    dp[mask | ubit] |= ubit
+        ends = dp[full]
+        if s == 0 and n >= 3 and ends & rows[0]:
+            has_cycle = True
+        if ends and witness is None:
+            cur = (ends & -ends).bit_length() - 1
+            path, mask = [cur], full
+            while mask != 1 << s:
+                mask ^= 1 << cur
+                cands = dp[mask] & rows[cur]
+                cur = (cands & -cands).bit_length() - 1
+                path.append(cur)
+            witness = path[::-1]
+        missing = (full ^ (1 << s)) & ~ends
+        if missing and failing is None:
+            failing = [s, (missing & -missing).bit_length() - 1]
+    return {"has_path": witness is not None, "has_cycle": has_cycle,
+            "hamilton_connected": failing is None, "witness_path": witness,
+            "failing_pair": failing}
+
+
 def largest_root_bisect(poly, vertex: float, hi: float) -> float:
     """Largest root of an upward parabola, bisected from its vertex."""
     assert poly(vertex) <= 0

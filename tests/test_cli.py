@@ -93,6 +93,18 @@ def test_oracle_over_cap_names_the_cap(capsys):
     assert "cap 20" in err
 
 
+def test_analyze_oracle_skip_and_cap_ceiling(capsys):
+    g6 = write_graph6(complete(22))
+    code, out, _ = run_cli(capsys, "analyze", "--g6", g6)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"] is None
+    assert payload["oracle_skipped"] == "order 22 above oracle cap 20"
+    for command in (["analyze", "--g6", g6], ["remark", "--r-min", "4", "--r-max", "4"]):
+        code, _, err = run_cli(capsys, *command, "--oracle-cap", "25")
+        assert code == 2 and "cannot exceed 24" in err  # even with every order above it
+
+
 def test_oracle_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HAMSPEC_ORACLE_CAP", "5")
     code, _, err = run_cli(capsys, "oracle", "--g6", write_graph6(complete(6)))

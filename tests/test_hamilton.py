@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hamspec import (
 )
 from hamspec.harness import canonical_graph6
 
-from support import complete_split, petersen, prism, random_graph
+from support import complete_split, petersen, prism, random_graph, reference_profile
 
 
 def test_petersen_has_path_but_no_cycle():
@@ -91,6 +92,26 @@ def test_profile_internal_consistency_and_witnesses():
         if n >= 2 and not p.hamilton_connected:
             u, v = p.failing_pair
             assert 0 <= u < v < n
+
+
+def _seeded_sample():
+    rng = random.Random(2024)
+    return [random_graph(n, rng.random(), rng) for n in range(7, 11) for _ in range(30)]
+
+
+@pytest.mark.parametrize("corpus", ["labeled orders 1-6", "seeded orders 7-10"])
+def test_early_stopping_scan_matches_the_all_starts_dp(corpus):
+    """The three predicates stop early and the profile shares their scan;
+    every answer, witness and failing pair must equal the plain all-starts
+    DP's."""
+    graphs = (chain.from_iterable(enumerate_labeled(n) for n in range(1, 7))
+              if corpus.startswith("labeled") else _seeded_sample())
+    for g in graphs:
+        ref = reference_profile(g)
+        assert hamilton_profile(g).to_json_dict() == ref, g
+        assert has_hamiltonian_path(g) == ref["has_path"], g
+        assert has_hamiltonian_cycle(g) == ref["has_cycle"], g
+        assert is_hamilton_connected(g) == ref["hamilton_connected"], g
 
 
 def test_oracle_capacity_errors():

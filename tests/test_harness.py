@@ -22,6 +22,7 @@ from hamspec import (
     validate,
     validate_closure_equivalence,
 )
+from hamspec import harness
 from hamspec.harness import admissible_remark_window
 
 from support import complete_split, largest_root_bisect
@@ -140,15 +141,23 @@ def test_validate_rejects_oversize_orders():
         validate(T42, [8], ValidationMode.EXHAUSTIVE_LABELED)
 
 
+def _no_graph(n, mask):
+    raise AssertionError("a graph was built before the corpus was checked")
+
+
 @pytest.mark.parametrize("run", [validate_closure_equivalence,
                                  lambda *a, **k: validate(T42, *a, **k)])
-def test_empty_corpora_are_rejected(run):
+def test_empty_corpora_are_rejected(run, monkeypatch):
     """A sweep that would check no graph must not report a pass."""
     with pytest.raises(ValueError, match="no orders"):
         run([])
     for samples in (0, -3):
         with pytest.raises(ValueError, match="at least one sample"):
             run([6], ValidationMode.RANDOM_SAMPLE, samples=samples)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "graph_from_edge_mask", _no_graph)
+        with pytest.raises(CapacityError):  # order 8 is over the enumeration cap
+            run([6, 8])
     assert run([4], samples=0).graphs_checked == 64  # exhaustive mode ignores samples
 
 
@@ -204,6 +213,8 @@ def test_remark_radii_match_quadratic_roots():
 def test_remark_oracle_column_respects_cap():
     rows = remark_scan([4], oracle_cap=20)
     assert all(row.oracle_has_cycle is None for row in rows)  # orders 26..28
+    with pytest.raises(ValueError, match="24"):
+        remark_scan([2], oracle_cap=25)
 
 
 def test_canonical_form_is_label_invariant():
