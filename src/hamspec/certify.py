@@ -155,6 +155,12 @@ def criterion_order_minimum(criterion: CriterionId) -> int:
     return _CRITERIA[criterion].min_order
 
 
+def _check_order(criterion: CriterionId, n: int) -> None:
+    minimum = _CRITERIA[criterion].min_order
+    if n < minimum:
+        raise ValueError(f"{criterion.value} requires order >= {minimum}, got {n}")
+
+
 def recognize_exception(g: Graph) -> set[FamilyTag]:
     """All exception families the graph structurally matches (label-free)."""
     return {tag for tag, check in _RECOGNIZER_BY_TAG.items() if check(g)}
@@ -173,10 +179,9 @@ def apply_criterion(g: Graph, criterion: CriterionId, *,
     it is added to the threshold before comparison, so a negative shift makes
     a greater-than criterion fire on graphs it should not.
     """
+    _check_order(criterion, g.n)
     spec = _CRITERIA[criterion]
     n = g.n
-    if n < spec.min_order:
-        raise ValueError(f"{criterion.value} requires order >= {spec.min_order}, got {n}")
     threshold = spec.threshold(n) + threshold_shift
     h = complement(g) if spec.of_complement else g
     lhs = signless_spectral_radius(h) if spec.signless else adjacency_spectral_radius(h)

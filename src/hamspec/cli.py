@@ -17,7 +17,7 @@ from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .families import FAMILY_PARAMS, construct, family_spec
 from .closure import k_closure
 from .hamilton import CapacityError, DEFAULT_ORACLE_CAP, hamilton_profile
-from .spectral import bound_suite, spectral_summary
+from .spectral import SpectralSummary, bound_suite, spectral_summary
 from .certify import CriterionId, apply_criterion, criterion_order_minimum
 from .harness import ValidationMode, remark_scan, validate
 
@@ -87,28 +87,37 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     _add_family_params(p)
 
 
+# one flag per constructor parameter name, in first-seen order
+_FAMILY_FLAGS = tuple(dict.fromkeys(name for names in FAMILY_PARAMS.values() for name in names))
+
+
 def _add_family_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--connections", help="comma-separated circulant offsets")
+    for name in _FAMILY_FLAGS:
+        if name == "connections":  # the one list-valued parameter
+            p.add_argument("--connections", help="comma-separated circulant offsets")
+        else:
+            p.add_argument(f"--{name}", type=int)
+
+
+def _int(text: str, source: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{source}: not an integer: {text!r}") from None
 
 
 def _family_graph(args) -> Graph:
-    params = {}
-    for name in FAMILY_PARAMS[args.family]:
-        if name == "connections":
-            if args.connections is None:
-                raise ValueError("family 'circulant' needs --connections")
-            params[name] = [int(x) for x in args.connections.split(",") if x.strip()]
-        else:
-            value = getattr(args, name)
-            if value is None:
-                raise ValueError(f"family {args.family!r} needs --{name}")
-            params[name] = value
-    return construct(family_spec(args.family, **params))
+    """Every family flag given goes to family_spec, which rejects one the
+    family does not take."""
+    given = {name: getattr(args, name) for name in _FAMILY_FLAGS
+             if getattr(args, name) is not None}
+    missing = [name for name in FAMILY_PARAMS[args.family] if name not in given]
+    if missing:
+        raise ValueError(f"family {args.family!r} needs --{missing[0]}")
+    if "connections" in given:
+        given["connections"] = [_int(x, "--connections")
+                                for x in given["connections"].split(",") if x.strip()]
+    return construct(family_spec(args.family, **given))
 
 
 def _input_graphs(args) -> list[Graph]:
@@ -138,11 +147,10 @@ def _oracle_cap(args) -> int:
     if args.oracle_cap is not None:
         return args.oracle_cap
     env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    return _int(env, ORACLE_CAP_ENV) if env else DEFAULT_ORACLE_CAP
 
 
-def _summary_dict(g: Graph) -> dict:
-    s = spectral_summary(g)
+def _summary_dict(s: SpectralSummary) -> dict:
     return {
         "mu": s.mu,
         "gamma": s.gamma,
@@ -154,12 +162,13 @@ def _summary_dict(g: Graph) -> dict:
     }
 
 
-def _analyze_one(g: Graph, cap: int) -> dict:
+def _analyze_one(g: Graph, args) -> dict:
+    summary = spectral_summary(g)
     payload = {
         "graph6": write_graph6(g),
         "order": g.n,
-        "spectral": _summary_dict(g),
-        "bounds": [b.to_json_dict() for b in bound_suite(g)],
+        "spectral": _summary_dict(summary),
+        "bounds": [b.to_json_dict() for b in bound_suite(g, summary)],
         "criteria": [],
         "criteria_skipped": [],
     }
@@ -171,7 +180,7 @@ def _analyze_one(g: Graph, cap: int) -> dict:
         else:
             payload["criteria"].append(apply_criterion(g, criterion).to_json_dict())
     try:
-        payload["oracle"] = hamilton_profile(g, cap).to_json_dict()
+        payload["oracle"] = hamilton_profile(g, _oracle_cap(args)).to_json_dict()
         payload["oracle_skipped"] = None
     except CapacityError as exc:
         payload["oracle"] = None
@@ -179,55 +188,36 @@ def _analyze_one(g: Graph, cap: int) -> dict:
     return payload
 
 
-def _cmd_analyze(args) -> int:
-    graphs = _input_graphs(args)
-    cap = _oracle_cap(args)
-    reports = [_analyze_one(g, cap) for g in graphs]
-    _emit(reports[0] if len(reports) == 1 else reports, args)
-    return 0
+def _closure_one(g: Graph, args) -> dict:
+    result = k_closure(g, args.k)
+    return {
+        "graph6": write_graph6(g),
+        "k": result.k,
+        "closed_graph6": write_graph6(result.graph),
+        "added_edges": [list(e) for e in result.added_edges],
+        "edges_added": len(result.added_edges),
+    }
 
 
-def _cmd_closure(args) -> int:
-    graphs = _input_graphs(args)
-    reports = []
-    for g in graphs:
-        result = k_closure(g, args.k)
-        reports.append({
-            "graph6": write_graph6(g),
-            "k": result.k,
-            "closed_graph6": write_graph6(result.graph),
-            "added_edges": [list(e) for e in result.added_edges],
-            "edges_added": len(result.added_edges),
-        })
-    _emit(reports[0] if len(reports) == 1 else reports, args)
-    return 0
+def _oracle_one(g: Graph, args) -> dict:
+    payload = hamilton_profile(g, _oracle_cap(args)).to_json_dict()
+    payload["graph6"] = write_graph6(g)
+    return payload
 
 
-def _cmd_oracle(args) -> int:
-    graphs = _input_graphs(args)
-    cap = _oracle_cap(args)
-    reports = []
-    for g in graphs:
-        profile = hamilton_profile(g, cap)
-        payload = profile.to_json_dict()
-        payload["graph6"] = write_graph6(g)
-        reports.append(payload)
+def _cmd_per_graph(args) -> int:
+    """analyze, closure and oracle: `args.report(g, args)` for each input
+    graph, one report for one graph and a list for several."""
+    reports = [args.report(g, args) for g in _input_graphs(args)]
     _emit(reports[0] if len(reports) == 1 else reports, args)
     return 0
 
 
 def _cmd_generate(args) -> int:
     g = _family_graph(args)
-    if args.format == "text":
-        payload = write_graph6(g)
-        if args.output:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
-        return 0
-    _emit({"family": args.family, "order": g.n, "edge_count": g.edge_count,
-           "graph6": write_graph6(g)}, args)
+    g6 = write_graph6(g)
+    _emit(g6 if args.format == "text" else
+          {"family": args.family, "order": g.n, "edge_count": g.edge_count, "graph6": g6}, args)
     return 0
 
 
@@ -241,7 +231,7 @@ def _parse_criterion(name: str) -> CriterionId:
 
 def _cmd_validate(args) -> int:
     criterion = _parse_criterion(args.criterion)
-    orders = [int(x) for x in args.orders.split(",") if x.strip()]
+    orders = [_int(x, "--orders") for x in args.orders.split(",") if x.strip()]
     mode = (ValidationMode.EXHAUSTIVE_LABELED if args.mode == "exhaustive"
             else ValidationMode.RANDOM_SAMPLE)
     report = validate(criterion, orders, mode, samples=args.samples, p=args.p,
@@ -266,19 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--oracle-cap", type=int)
     _add_io_flags(p)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_per_graph, report=_analyze_one)
 
     p = sub.add_parser("closure", help="degree-sum closure with the added-edge list")
     _add_input_flags(p)
     p.add_argument("--k", type=int, required=True)
     _add_io_flags(p)
-    p.set_defaults(func=_cmd_closure)
+    p.set_defaults(func=_cmd_per_graph, report=_closure_one)
 
     p = sub.add_parser("oracle", help="exact Hamiltonicity answers")
     _add_input_flags(p)
     p.add_argument("--oracle-cap", type=int)
     _add_io_flags(p)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_per_graph, report=_oracle_one)
 
     p = sub.add_parser("generate", help="emit a family member as graph6")
     p.add_argument("--family", choices=sorted(FAMILY_PARAMS), required=True)
@@ -314,10 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CapacityError, ValueError, OSError) as exc:
+    except (CapacityError, ValueError, OSError) as exc:  # Graph6Error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ regular blocks come first, joined blocks last.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -14,81 +15,35 @@ from .graph import MAX_ORDER, Graph, from_edges, join, disjoint_union
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name plus its numeric parameters, in the documented order."""
+    """A family name plus one value per constructor parameter, in signature
+    order; circulant's connections are one tuple: ("circulant", (7, (1, 2)))."""
 
     kind: str
-    params: tuple[int, ...]
-
-
-# kind -> parameter names, in FamilySpec.params order
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "complete": ("n",),
-    "complete-bipartite": ("a", "b"),
-    "star": ("n",),
-    "cycle": ("n",),
-    "path": ("n",),
-    "clique-plus-isolated": ("n",),
-    "clique-plus-pendant": ("n",),
-    "clique-plus-two-edges": ("n",),
-    "join-of-two-cliques": ("n", "s"),
-    "balanced-bipartite-minus-matching": ("n",),
-    "regular-join-clique": ("n", "r"),
-    "remark-family": ("r", "s"),
-    "circulant": ("n", "connections"),
-}
+    params: tuple[int | tuple[int, ...], ...]
 
 
 def family_spec(kind: str, **params) -> FamilySpec:
     """Build a FamilySpec from named parameters (`connections` may be a list)."""
-    if kind not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {kind!r}; known: {', '.join(sorted(FAMILY_PARAMS))}")
-    names = FAMILY_PARAMS[kind]
+    names = FAMILY_PARAMS[_known(kind)]
     missing = [p for p in names if p not in params]
     if missing:
         raise ValueError(f"family {kind!r} needs parameters {', '.join(names)}")
     extra = set(params) - set(names)
     if extra:
         raise ValueError(f"family {kind!r} does not take {', '.join(sorted(extra))}")
-    flat: list[int] = []
-    for p in names:
-        v = params[p]
-        if p == "connections":
-            flat.extend(int(x) for x in v)
-        else:
-            flat.append(int(v))
-    return FamilySpec(kind, tuple(flat))
+    return FamilySpec(kind, tuple(tuple(int(x) for x in params[p]) if p == "connections"
+                                  else int(params[p]) for p in names))
 
 
 def construct(spec: FamilySpec) -> Graph:
     """Materialize a family member; raises ValueError on out-of-range parameters."""
-    kind, p = spec.kind, spec.params
-    if kind == "complete":
-        return complete(*p)
-    if kind == "complete-bipartite":
-        return complete_bipartite(*p)
-    if kind == "star":
-        return star(*p)
-    if kind == "cycle":
-        return cycle(*p)
-    if kind == "path":
-        return path(*p)
-    if kind == "clique-plus-isolated":
-        return clique_plus_isolated(*p)
-    if kind == "clique-plus-pendant":
-        return clique_plus_pendant(*p)
-    if kind == "clique-plus-two-edges":
-        return clique_plus_two_edges(*p)
-    if kind == "join-of-two-cliques":
-        return join_of_two_cliques(*p)
-    if kind == "balanced-bipartite-minus-matching":
-        return balanced_bipartite_minus_matching(*p)
-    if kind == "regular-join-clique":
-        return regular_join_clique(*p)
-    if kind == "remark-family":
-        return remark_family(*p)
-    if kind == "circulant":
-        return circulant(p[0], p[1:])
-    raise ValueError(f"unknown family {kind!r}")
+    return _CONSTRUCTORS[_known(spec.kind)](*spec.params)
+
+
+def _known(kind: str) -> str:
+    if kind not in _CONSTRUCTORS:
+        raise ValueError(f"unknown family {kind!r}; known: {', '.join(sorted(_CONSTRUCTORS))}")
+    return kind
 
 
 def _check_order(n: int, minimum: int, what: str) -> None:
@@ -246,3 +201,26 @@ def circulant(n: int, connections: Iterable[int]) -> Graph:
         for c in conns:
             edges.append((v, (v + c) % n))
     return from_edges(n, edges)
+
+
+# kind -> constructor; FamilySpec.params and the CLI's family flags follow
+# the constructor's parameters
+_CONSTRUCTORS = {
+    "complete": complete,
+    "complete-bipartite": complete_bipartite,
+    "star": star,
+    "cycle": cycle,
+    "path": path,
+    "clique-plus-isolated": clique_plus_isolated,
+    "clique-plus-pendant": clique_plus_pendant,
+    "clique-plus-two-edges": clique_plus_two_edges,
+    "join-of-two-cliques": join_of_two_cliques,
+    "balanced-bipartite-minus-matching": balanced_bipartite_minus_matching,
+    "regular-join-clique": regular_join_clique,
+    "remark-family": remark_family,
+    "circulant": circulant,
+}
+
+# kind -> parameter names, in FamilySpec.params order
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    kind: tuple(inspect.signature(make).parameters) for kind, make in _CONSTRUCTORS.items()}

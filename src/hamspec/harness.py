@@ -28,8 +28,7 @@ from .hamilton import (
     has_hamiltonian_path,
     is_hamilton_connected,
 )
-from .certify import CriterionId, CriterionStatus, Prediction, apply_criterion
-from .spectral import adjacency_spectral_radius, signless_spectral_radius
+from .certify import CriterionId, CriterionStatus, Prediction, _check_order, apply_criterion
 
 ENUMERATION_CAP = 7  # 2^21 labeled graphs; beyond this use sampling
 
@@ -212,6 +211,8 @@ def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
     if mode is ValidationMode.RANDOM_SAMPLE and samples < 1:
         raise ValueError(f"random mode needs at least one sample per order, got {samples}")
     for n in orders:
+        if n < 1:
+            raise ValueError(f"orders must be >= 1, got {n}")
         _check_cap(n, None)
     start = time.perf_counter()
     checked = predictions = exceptions = boundary = 0
@@ -254,7 +255,13 @@ def validate(criterion: CriterionId, orders: Iterable[int],
     property; a graph that lacks it is recorded by its graph6 string as a
     violation.  Boundary statuses are counted, never treated as violations.
     `threshold_shift` is the fault-injection hook (see apply_criterion).
+    Every order is checked against the criterion's minimum before the
+    first graph is built.
     """
+    orders = tuple(orders)
+    for n in orders:
+        _check_order(criterion, n)
+
     def check(g):
         verdict = apply_criterion(g, criterion, threshold_shift=threshold_shift)
         if verdict.predicted is Prediction.NO_PREDICTION or verdict.exception is not None:
@@ -292,8 +299,8 @@ class RemarkRow:
     g_at_2n_minus_4: int   # 4(r-1)^2 - 2s, exact
     mu: float
     gamma: float
-    mu_below: bool         # mu <  n - 2
-    gamma_above: bool      # gamma >= 2(n - 2)
+    mu_below: bool         # T42 NotSatisfied: mu < n - 2
+    gamma_above: bool      # T41 Satisfied: gamma >= 2(n - 2)
     oracle_has_cycle: bool | None
 
     def to_json_dict(self) -> dict:
@@ -323,30 +330,28 @@ def remark_scan(r_values: Iterable[int],
     """Scan the adjacency-vs-signless comparison family over admissible (r, s).
 
     Each row checks the exact sign conditions (f(n-2) > 0, g(2n-4) <= 0) and
-    the spectral gates (mu < n-2, gamma >= 2(n-2)); the oracle column is
+    the spectral gates, which are the verdicts of T42 (NotSatisfied: mu below
+    n-2) and T41 (Satisfied: gamma at least 2(n-2)); the oracle column is
     filled only when the order is within `oracle_cap`, which may not exceed
     the oracle's hard ceiling.  The window is nonempty for every r >= 2.
     """
     rows = []
     for r in r_values:
         for s in admissible_remark_window(r):
-            n = 2 * r + s
             g = remark_family(r, s)
-            mu = adjacency_spectral_radius(g)
-            gamma = signless_spectral_radius(g)
-            f_val = (2 * r - 1) * (r - 1) - s
-            g_val = 4 * (r - 1) ** 2 - 2 * s
+            t42 = apply_criterion(g, CriterionId.T42_AdjacencyPathCycle)
+            t41 = apply_criterion(g, CriterionId.T41_SignlessPathCycle)
             try:
                 has_cycle = has_hamiltonian_cycle(g, oracle_cap)
             except CapacityError:
                 has_cycle = None
             row = RemarkRow(
-                r=r, s=s, n=n,
-                f_at_n_minus_2=f_val,
-                g_at_2n_minus_4=g_val,
-                mu=mu, gamma=gamma,
-                mu_below=mu < n - 2 - 1e-9,
-                gamma_above=gamma >= 2 * (n - 2) - 1e-9,
+                r=r, s=s, n=g.n,
+                f_at_n_minus_2=(2 * r - 1) * (r - 1) - s,
+                g_at_2n_minus_4=4 * (r - 1) ** 2 - 2 * s,
+                mu=t42.lhs, gamma=t41.lhs,
+                mu_below=t42.status is CriterionStatus.NOT_SATISFIED,
+                gamma_above=t41.status is CriterionStatus.SATISFIED,
                 oracle_has_cycle=has_cycle,
             )
             if not (row.f_at_n_minus_2 > 0 and row.g_at_2n_minus_4 <= 0

@@ -69,6 +69,19 @@ def test_generate_missing_parameter(capsys):
     assert "--s" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--family", "complete", "--n", "4", "--s", "3"], "does not take s"),
+    (["generate", "--family", "circulant", "--n", "8", "--connections", "1,x"],
+     "--connections"),
+    (["validate", "--criterion", "T42", "--orders", "5,x"], "--orders"),
+])
+def test_bad_flag_values_are_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_closure_subcommand(capsys):
     g6 = write_graph6(cycle(4))
     code, out, _ = run_cli(capsys, "closure", "--g6", g6, "--k", "4")
@@ -110,6 +123,10 @@ def test_oracle_cap_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oracle", "--g6", write_graph6(complete(6)))
     assert code == 2
     assert "cap 5" in err
+    monkeypatch.setenv("HAMSPEC_ORACLE_CAP", "abc")
+    code, _, err = run_cli(capsys, "oracle", "--g6", write_graph6(complete(6)))
+    assert code == 2
+    assert "HAMSPEC_ORACLE_CAP" in err
 
 
 def test_malformed_graph6_names_byte_offset(capsys):

@@ -158,6 +158,10 @@ def test_empty_corpora_are_rejected(run, monkeypatch):
         m.setattr(harness, "graph_from_edge_mask", _no_graph)
         with pytest.raises(CapacityError):  # order 8 is over the enumeration cap
             run([6, 8])
+        with pytest.raises(ValueError, match=">= 1"):
+            run([6, 0])
+        with pytest.raises(ValueError, match="order >= 6"):  # T34's minimum order
+            validate(CriterionId.T34_ComplementSignlessHC, [6, 5])
     assert run([4], samples=0).graphs_checked == 64  # exhaustive mode ignores samples
 
 
