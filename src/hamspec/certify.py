@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from ._report import Report
 from .graph import Graph, complement
 from .hamilton import HamiltonProfile
 from .spectral import adjacency_spectral_radius, signless_spectral_radius
@@ -67,23 +68,13 @@ _RECOGNIZER_BY_TAG = {
 
 
 @dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(Report):
     criterion: CriterionId
     lhs: float
     threshold: float
     status: CriterionStatus
     predicted: Prediction
     exception: FamilyTag | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion.value,
-            "lhs": self.lhs,
-            "threshold": self.threshold,
-            "status": self.status.value,
-            "predicted": self.predicted.value,
-            "exception": self.exception.value if self.exception else None,
-        }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .families import FAMILY_PARAMS, construct, family_spec
 from .closure import k_closure
 from .hamilton import CapacityError, DEFAULT_ORACLE_CAP, hamilton_profile
-from .spectral import SpectralSummary, bound_suite, spectral_summary
+from .spectral import bound_suite, spectral_summary
 from .certify import CriterionId, apply_criterion, criterion_order_minimum
 from .harness import ValidationMode, remark_scan, validate
 
@@ -106,11 +106,14 @@ def _int(text: str, source: str) -> int:
         raise ValueError(f"{source}: not an integer: {text!r}") from None
 
 
+def _given_family_flags(args) -> dict:
+    return {n: getattr(args, n) for n in _FAMILY_FLAGS if getattr(args, n) is not None}
+
+
 def _family_graph(args) -> Graph:
     """Every family flag given goes to family_spec, which rejects one the
     family does not take."""
-    given = {name: getattr(args, name) for name in _FAMILY_FLAGS
-             if getattr(args, name) is not None}
+    given = _given_family_flags(args)
     missing = [name for name in FAMILY_PARAMS[args.family] if name not in given]
     if missing:
         raise ValueError(f"family {args.family!r} needs --{missing[0]}")
@@ -124,10 +127,13 @@ def _input_graphs(args) -> list[Graph]:
     sources = [s for s in ("g6", "file", "family") if getattr(args, s) is not None]
     if len(sources) != 1:
         raise ValueError("exactly one of --g6, --file, --family is required")
-    if args.g6 is not None:
-        return [parse_graph6(args.g6)]
     if args.family is not None:
         return [_family_graph(args)]
+    stray = list(_given_family_flags(args))
+    if stray:
+        raise ValueError(f"--{stray[0]} needs --family")
+    if args.g6 is not None:
+        return [parse_graph6(args.g6)]
     graphs = []
     # latin-1 maps every byte to the code point of its value, so a byte
     # outside graph6's range reaches the parser and is named with its line
@@ -150,24 +156,12 @@ def _oracle_cap(args) -> int:
     return _int(env, ORACLE_CAP_ENV) if env else DEFAULT_ORACLE_CAP
 
 
-def _summary_dict(s: SpectralSummary) -> dict:
-    return {
-        "mu": s.mu,
-        "gamma": s.gamma,
-        "edge_count": s.edge_count,
-        "degrees": list(s.degrees),
-        "avg_neighbor_degree": [float(x) for x in s.avg_neighbor],
-        "degree_square_sum": s.degree_square_sum,
-        "max_degree_plus_avg_neighbor": float(s.max_d_plus_m),
-    }
-
-
 def _analyze_one(g: Graph, args) -> dict:
     summary = spectral_summary(g)
     payload = {
         "graph6": write_graph6(g),
         "order": g.n,
-        "spectral": _summary_dict(summary),
+        "spectral": summary.to_json_dict(),
         "bounds": [b.to_json_dict() for b in bound_suite(g, summary)],
         "criteria": [],
         "criteria_skipped": [],
@@ -200,9 +194,7 @@ def _closure_one(g: Graph, args) -> dict:
 
 
 def _oracle_one(g: Graph, args) -> dict:
-    payload = hamilton_profile(g, _oracle_cap(args)).to_json_dict()
-    payload["graph6"] = write_graph6(g)
-    return payload
+    return {**hamilton_profile(g, _oracle_cap(args)).to_json_dict(), "graph6": write_graph6(g)}
 
 
 def _cmd_per_graph(args) -> int:

@@ -16,6 +16,7 @@ from enum import Enum
 from math import comb
 from typing import Callable
 
+from ._report import Report
 from .graph import Graph
 
 DEFAULT_ORACLE_CAP = 20
@@ -27,21 +28,12 @@ class CapacityError(Exception):
 
 
 @dataclass(frozen=True)
-class HamiltonProfile:
+class HamiltonProfile(Report):
     has_path: bool
     has_cycle: bool
     hamilton_connected: bool
     witness_path: tuple[int, ...] | None
     failing_pair: tuple[int, int] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "has_path": self.has_path,
-            "has_cycle": self.has_cycle,
-            "hamilton_connected": self.hamilton_connected,
-            "witness_path": list(self.witness_path) if self.witness_path else None,
-            "failing_pair": list(self.failing_pair) if self.failing_pair else None,
-        }
 
 
 def _check_cap(n: int, max_order: int | None) -> None:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
+from ._report import Report
 from .graph import Graph
 from .graph6 import write_graph6
 from .families import remark_family
@@ -130,7 +131,7 @@ class ValidationMode(Enum):
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     criterion: str
     orders: tuple[int, ...]
     mode: str
@@ -144,19 +145,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "orders": list(self.orders),
-            "mode": self.mode,
-            "graphs_checked": self.graphs_checked,
-            "predictions_issued": self.predictions_issued,
-            "exceptions_matched": self.exceptions_matched,
-            "violations": list(self.violations),
-            "boundary_cases": self.boundary_cases,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def merge_reports(reports: Sequence[ValidationReport]) -> ValidationReport:
@@ -289,7 +277,7 @@ def validate_closure_equivalence(orders: Iterable[int],
 
 
 @dataclass(frozen=True)
-class RemarkRow:
+class RemarkRow(Report):
     """One admissible (r, s) row of the two-cliques-joined-to-a-clique scan."""
 
     r: int
@@ -302,20 +290,6 @@ class RemarkRow:
     mu_below: bool         # T42 NotSatisfied: mu < n - 2
     gamma_above: bool      # T41 Satisfied: gamma >= 2(n - 2)
     oracle_has_cycle: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "n": self.n,
-            "f_at_n_minus_2": self.f_at_n_minus_2,
-            "g_at_2n_minus_4": self.g_at_2n_minus_4,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "mu_below": self.mu_below,
-            "gamma_above": self.gamma_above,
-            "oracle_has_cycle": self.oracle_has_cycle,
-        }
 
 
 def admissible_remark_window(r: int) -> range:
@@ -333,7 +307,8 @@ def remark_scan(r_values: Iterable[int],
     the spectral gates, which are the verdicts of T42 (NotSatisfied: mu below
     n-2) and T41 (Satisfied: gamma at least 2(n-2)); the oracle column is
     filled only when the order is within `oracle_cap`, which may not exceed
-    the oracle's hard ceiling.  The window is nonempty for every r >= 2.
+    the oracle's hard ceiling.  The window is nonempty for every r >= 2, so
+    only an empty r range gives no row, and it is rejected.
     """
     rows = []
     for r in r_values:
@@ -358,6 +333,8 @@ def remark_scan(r_values: Iterable[int],
                     and row.mu_below and row.gamma_above):
                 raise RuntimeError(f"sign conditions failed at r={r}, s={s}: {row}")
             rows.append(row)
+    if not rows:
+        raise ValueError("no r values to scan")
     return rows
 
 

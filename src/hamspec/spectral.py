@@ -8,11 +8,12 @@ lhs <= rhs, so slack = rhs - lhs and a bound holds iff slack >= -1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from ._report import Report
 from .graph import Graph, degree_data
 from . import recognizers
 
@@ -71,14 +72,14 @@ def signless_spectral_radius(g: Graph) -> float:
 
 
 @dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(Report):
     mu: float
     gamma: float
     edge_count: int
     degrees: tuple[int, ...]
-    avg_neighbor: tuple[Fraction, ...]
+    avg_neighbor: tuple[Fraction, ...] = field(metadata={"json": "avg_neighbor_degree"})
     degree_square_sum: int
-    max_d_plus_m: Fraction
+    max_d_plus_m: Fraction = field(metadata={"json": "max_degree_plus_avg_neighbor"})
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
@@ -95,25 +96,14 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Report):
     bound: str
     lhs: float
     rhs: float
     slack: float
     holds: bool
     equality: bool
-    equality_case_expected: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "equality": self.equality,
-            "equality_expected": self.equality_case_expected,
-        }
+    equality_case_expected: bool = field(metadata={"json": "equality_expected"})
 
 
 def _float_bound(bound: str, lhs: float, rhs: float, expected: bool) -> BoundReport:
@@ -125,7 +115,8 @@ def _float_bound(bound: str, lhs: float, rhs: float, expected: bool) -> BoundRep
 
 
 def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundReport]:
-    """Evaluate every applicable bound on g, one report per bound.
+    """Evaluate every applicable bound on g, one report per bound, in
+    BOUND_IDS order.
 
     Skipped for lack of definition: the two mean bounds at n = 1 (their
     right-hand sides divide by n - 1) and the degree-ratio bound when
@@ -148,15 +139,16 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
                                float(slack), holds=slack >= 0, equality=slack == 0,
                                equality_case_expected=expected))
 
+    out.append(_float_bound(
+        "gamma_dm_upper", s.gamma, float(s.max_d_plus_m),
+        recognizers.all_nontrivial_components_regular_or_semiregular(g)))
+
+    if n >= 2:
         if g.is_connected():
             mean_expected = recognizers.is_star(g) or recognizers.is_complete(g)
         else:
             mean_expected = recognizers.is_clique_plus_isolated(g)
         out.append(_float_bound("gamma_mean_upper", s.gamma, float(mean_rhs), mean_expected))
-
-    out.append(_float_bound(
-        "gamma_dm_upper", s.gamma, float(s.max_d_plus_m),
-        recognizers.all_nontrivial_components_regular_or_semiregular(g)))
 
     out.append(_float_bound("hofmeister_lower", float(s.degree_square_sum),
                             n * s.mu * s.mu, False))
@@ -166,8 +158,4 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
                                 float(Fraction(s.degree_square_sum, m)), s.gamma, False))
 
     out.append(_float_bound("gamma_two_mu_lower", 2 * s.mu, s.gamma, False))
-
-    # keep the declared ordering regardless of skips
-    order = {b: i for i, b in enumerate(BOUND_IDS)}
-    out.sort(key=lambda r: order[r.bound])
     return out

@@ -74,6 +74,9 @@ def test_generate_missing_parameter(capsys):
     (["generate", "--family", "circulant", "--n", "8", "--connections", "1,x"],
      "--connections"),
     (["validate", "--criterion", "T42", "--orders", "5,x"], "--orders"),
+    (["analyze", "--g6", "C~", "--n", "5"], "--n needs --family"),
+    (["closure", "--g6", "C~", "--k", "3", "--connections", "1,x"],
+     "--connections needs --family"),
 ])
 def test_bad_flag_values_are_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -215,6 +218,9 @@ def test_remark_subcommand(capsys):
     }]
     assert rows[0]["mu"] == pytest.approx(3.82842712475, abs=1e-9)
     assert rows[0]["gamma"] == pytest.approx(8, abs=1e-9)
+    code, out, err = run_cli(capsys, "remark", "--r-min", "5", "--r-max", "3")
+    assert (code, out) == (2, "")  # an empty r range is not an empty pass
+    assert "no r values" in err
 
 
 def test_twelve_significant_digit_floats(capsys):

@@ -194,6 +194,8 @@ def test_remark_rows_exact_columns():
     for row in rows:
         assert row.mu_below and row.gamma_above
         assert row.oracle_has_cycle is (True if row.n <= 20 else None)
+    with pytest.raises(ValueError, match="no r values"):
+        remark_scan([])
 
 
 def test_remark_radii_match_quadratic_roots():
