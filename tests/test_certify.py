@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -19,13 +20,17 @@ from hamspec import (
     criterion_order_minimum,
     criterion_threshold,
     cycle,
+    disjoint_union,
     enumerate_labeled,
     hamilton_profile,
     join_of_two_cliques,
     recognize_exception,
     regular_join_clique,
+    star,
     verdict_is_sound,
+    write_graph6,
 )
+from hamspec import recognizers
 
 from support import degree_preserving_rewire, prism, random_graph
 from verify_family import verify_family_member
@@ -196,6 +201,53 @@ def test_rewired_graphs_only_accepted_when_isomorphic(n):
             for fired in recognize_exception(h):
                 assert verify_family_member(h, fired), (tag, fired, n)
 
+
+def _constructed_members(n):
+    """Each recognizer's family at order n, built by the family constructors
+    over the order range its docstring states."""
+    return {
+        recognizers.is_complete: [complete(n)],
+        recognizers.is_star: [star(n)] if n >= 2 else [],
+        recognizers.is_complete_plus_isolated: [
+            disjoint_union(complete(k), complement(complete(n - k))) if k < n else complete(n)
+            for k in range(1, n + 1)],
+        recognizers.is_clique_plus_isolated: [clique_plus_isolated(n)] if n >= 2 else [],
+        recognizers.is_clique_plus_pendant: [clique_plus_pendant(n)] if n >= 2 else [],
+        recognizers.is_clique_plus_two_edges: [clique_plus_two_edges(n)] if n >= 3 else [],
+        recognizers.is_join_of_two_cliques: [join_of_two_cliques(n, s) for s in range(1, n - 2)],
+        recognizers.is_balanced_complete_bipartite:
+            [complete_bipartite(n // 2, n // 2)] if n % 2 == 0 else [],
+        recognizers.is_regular_join_clique: [
+            regular_join_clique(n, r) for r in range(1, n // 2 + 1)
+            if n >= 4 and n % 2 == 0 and (n - r) * (n // 2 - r) % 2 == 0],
+    }
+
+
+# labeled orbit sizes at order six of the six exception families
+_ORDER_SIX_ORBITS = {
+    "is_clique_plus_isolated": 6,
+    "is_clique_plus_pendant": 30,
+    "is_clique_plus_two_edges": 60,
+    "is_join_of_two_cliques": 105,
+    "is_balanced_complete_bipartite": 10,
+    "is_regular_join_clique": 137,
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recognizers_match_constructed_orbits_exhaustively(n):
+    """Every labeled graph of order n is accepted by a recognizer exactly
+    when it is a relabeling of one of that family's constructed members."""
+    orbits = {check: {write_graph6(g.relabel(p)) for g in members
+                      for p in permutations(range(n))}
+              for check, members in _constructed_members(n).items()}
+    if n == 6:
+        sizes = {check.__name__: len(orbit) for check, orbit in orbits.items()}
+        assert {name: sizes[name] for name in _ORDER_SIX_ORBITS} == _ORDER_SIX_ORBITS
+    wrong = [(check.__name__, s) for g in enumerate_labeled(n)
+             for s in [write_graph6(g)]
+             for check, orbit in orbits.items() if check(g) != (s in orbit)]
+    assert wrong == []
 
 def test_verdict_is_sound_gate():
     k6 = complete(6)
