@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable
 
 from ._report import Report
-from .graph import Graph, complement
+from .graph import Graph
 from .hamilton import HamiltonProfile
 from .spectral import adjacency_spectral_radius, signless_spectral_radius
 from . import recognizers
@@ -174,8 +174,8 @@ def apply_criterion(g: Graph, criterion: CriterionId, *,
     spec = _CRITERIA[criterion]
     n = g.n
     threshold = spec.threshold(n) + threshold_shift
-    h = complement(g) if spec.of_complement else g
-    lhs = signless_spectral_radius(h) if spec.signless else adjacency_spectral_radius(h)
+    radius = signless_spectral_radius if spec.signless else adjacency_spectral_radius
+    lhs = radius(g, spec.of_complement)
     margin = lhs - threshold if spec.above else threshold - lhs
     for tier in spec.tiers:
         if n >= tier.min_order and (margin > STRICTNESS_TOL if tier.strict

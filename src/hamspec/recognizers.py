@@ -1,7 +1,13 @@
 """Structural recognizers for the rigid graph families.
 
-Each predicate is a label-independent iff characterization, checked in
-O(n^2) bit operations; no general isomorphism testing is involved.
+Each predicate is a label-independent iff characterization read from the
+bit rows in O(n^2) bit operations, with no subgraph built and no isomorphism
+search.  The rules: the clique-plus families and the star by sorted degree
+sequence; complete plus isolated by k non-isolated vertices on C(k, 2)
+edges; the join of two cliques by two universal vertices over a rest whose
+closed neighbourhoods are two disjoint sets covering it; K_{n/2,n/2} by two
+complementary row values of n/2 bits; the regular join clique by universal
+vertices over vertices of degree n/2.
 """
 
 from __future__ import annotations
@@ -10,8 +16,7 @@ from .graph import Graph, _bits
 
 
 def is_complete(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return all(row == full ^ (1 << v) for v, row in enumerate(g.rows))
+    return len(universal_vertices(g)) == g.n
 
 
 def is_star(g: Graph) -> bool:
@@ -19,11 +24,6 @@ def is_star(g: Graph) -> bool:
     if g.n < 2:
         return False
     return sorted(g.degrees()) == [1] * (g.n - 1) + [g.n - 1]
-
-
-def has_universal_vertex(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return any(row == full ^ (1 << v) for v, row in enumerate(g.rows))
 
 
 def universal_vertices(g: Graph) -> list[int]:
@@ -36,13 +36,9 @@ def is_complete_plus_isolated(g: Graph) -> bool:
 
     The empty graph qualifies (a single vertex counts as complete).
     """
-    support = 0
-    for v, row in enumerate(g.rows):
-        if row:
-            support |= 1 << v
-    if support == 0:
-        return True
-    return all(g.rows[v] == support ^ (1 << v) for v in range(g.n) if support >> v & 1)
+    # k vertices carry all the edges, and C(k, 2) edges on them are all pairs
+    k = sum(1 for row in g.rows if row)
+    return g.edge_count == k * (k - 1) // 2
 
 
 def is_clique_plus_isolated(g: Graph) -> bool:
@@ -63,16 +59,10 @@ def is_clique_plus_pendant(g: Graph) -> bool:
 def is_clique_plus_two_edges(g: Graph) -> bool:
     """A complete graph on n-1 vertices plus a vertex joined to two of them."""
     n = g.n
-    if n < 3:
-        return False
-    full = (1 << n) - 1
-    for w in range(n):
-        if g.rows[w].bit_count() != 2:
-            continue
-        wbit = 1 << w
-        if all(g.rows[x] | (1 << x) | wbit == full for x in range(n) if x != w):
-            return True
-    return False
+    # the two degree-(n-1) vertices are universal, so they are the degree-2
+    # vertex's only neighbours, and every other vertex misses only that one
+    # (below n = 3 the list is longer than n, so nothing matches)
+    return sorted(g.degrees()) == [2] + [n - 2] * (n - 3) + [n - 1] * 2
 
 
 def is_join_of_two_cliques(g: Graph) -> bool:
@@ -80,23 +70,22 @@ def is_join_of_two_cliques(g: Graph) -> bool:
     uni = universal_vertices(g)
     if len(uni) != 2:
         return False
-    drop = (1 << uni[0]) | (1 << uni[1])
-    rest = _induced(g, ((1 << g.n) - 1) ^ drop)
-    if rest is None:
-        return False
-    comps = rest.components()
-    return len(comps) == 2 and all(_mask_is_clique(rest, c) for c in comps)
+    rest = ((1 << g.n) - 1) ^ (1 << uni[0]) ^ (1 << uni[1])
+    # disjoint closed neighbourhoods that cover the rest are its components,
+    # and each one is a clique
+    closed = {g.rows[v] & rest | 1 << v for v in _bits(rest)}
+    return len(closed) == 2 and sum(c.bit_count() for c in closed) == rest.bit_count()
 
 
 def is_balanced_complete_bipartite(g: Graph) -> bool:
-    """Complete bipartite with equal parts; equivalently n/2-regular bipartite."""
-    n = g.n
-    if n % 2 or n < 2:
+    """Complete bipartite with equal parts."""
+    rows = set(g.rows)
+    if len(rows) != 2:
         return False
-    h = n // 2
-    if any(d != h for d in g.degrees()):
-        return False
-    return _bipartition(g, (1 << n) - 1) is not None
+    # no vertex is in its own row, so with b = full ^ a the vertices whose
+    # row is a are exactly those of b, each joined to all of a
+    a, b = rows
+    return a ^ b == (1 << g.n) - 1 and a.bit_count() == b.bit_count()
 
 
 def is_regular_join_clique(g: Graph) -> bool:
@@ -139,23 +128,6 @@ def all_nontrivial_components_regular_or_semiregular(g: Graph) -> bool:
 
 
 # -- helpers ---------------------------------------------------------------
-
-
-def _mask_is_clique(g: Graph, mask: int) -> bool:
-    return all(g.rows[v] & mask == mask ^ (1 << v) for v in _bits(mask))
-
-
-def _induced(g: Graph, mask: int):
-    """Induced subgraph on the mask, or None when the mask is empty."""
-    verts = _bits(mask)
-    if not verts:
-        return None
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for v in verts:
-        for u in _bits(g.rows[v] & mask):
-            rows[index[v]] |= 1 << index[u]
-    return Graph(len(verts), tuple(rows))
 
 
 def _bipartition(g: Graph, mask: int) -> tuple[int, int] | None:

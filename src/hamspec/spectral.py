@@ -47,10 +47,12 @@ def symmetric_eigen_max(matrix) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
+def adjacency_matrix(g: Graph, of_complement: bool = False) -> np.ndarray:
+    """A(G), or with `of_complement` A of the complement, read from G's rows."""
+    full = (1 << g.n) - 1
     a = np.zeros((g.n, g.n))
     for v, row in enumerate(g.rows):
-        m = row
+        m = full ^ row ^ (1 << v) if of_complement else row
         while m:
             b = m & -m
             m -= b
@@ -58,17 +60,17 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return a + np.diag([float(d) for d in g.degrees()])
+def signless_laplacian_matrix(g: Graph, of_complement: bool = False) -> np.ndarray:
+    a = adjacency_matrix(g, of_complement)
+    return a + np.diag(a.sum(axis=1))
 
 
-def adjacency_spectral_radius(g: Graph) -> float:
-    return symmetric_eigen_max(adjacency_matrix(g))
+def adjacency_spectral_radius(g: Graph, of_complement: bool = False) -> float:
+    return symmetric_eigen_max(adjacency_matrix(g, of_complement))
 
 
-def signless_spectral_radius(g: Graph) -> float:
-    return symmetric_eigen_max(signless_laplacian_matrix(g))
+def signless_spectral_radius(g: Graph, of_complement: bool = False) -> float:
+    return symmetric_eigen_max(signless_laplacian_matrix(g, of_complement))
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
 
     if n >= 2:
         mean_rhs = Fraction(2 * m, n - 1) + (n - 2)
-        expected = recognizers.has_universal_vertex(g) or recognizers.is_clique_plus_isolated(g)
+        expected = bool(recognizers.universal_vertices(g)) or recognizers.is_clique_plus_isolated(g)
         slack = mean_rhs - s.max_d_plus_m
         out.append(BoundReport("dm_mean_upper", float(s.max_d_plus_m), float(mean_rhs),
                                float(slack), holds=slack >= 0, equality=slack == 0,

@@ -8,7 +8,9 @@ from hamspec import (
     CriterionId,
     CriterionStatus,
     FamilyTag,
+    Graph,
     Prediction,
+    adjacency_spectral_radius,
     apply_criterion,
     balanced_bipartite_minus_matching,
     clique_plus_isolated,
@@ -26,6 +28,7 @@ from hamspec import (
     join_of_two_cliques,
     recognize_exception,
     regular_join_clique,
+    signless_spectral_radius,
     star,
     verdict_is_sound,
     write_graph6,
@@ -248,6 +251,26 @@ def test_recognizers_match_constructed_orbits_exhaustively(n):
              for s in [write_graph6(g)]
              for check, orbit in orbits.items() if check(g) != (s in orbit)]
     assert wrong == []
+
+
+def test_complement_radii_are_read_from_the_graphs_own_rows(monkeypatch):
+    """Both complement radii equal those of the built complement exactly,
+    and no criterion builds a graph to reach them or its exception tags."""
+    corpus = [g for n in range(1, 7) for g in enumerate_labeled(n)]
+    for g in corpus:
+        h = complement(g)
+        assert adjacency_spectral_radius(g, of_complement=True) == adjacency_spectral_radius(h)
+        assert signless_spectral_radius(g, of_complement=True) == signless_spectral_radius(h)
+
+    def no_graph(self):
+        raise AssertionError(f"a Graph of order {self.n} was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    for g in corpus:
+        for crit in CriterionId:
+            if g.n >= criterion_order_minimum(crit):
+                apply_criterion(g, crit)
+
 
 def test_verdict_is_sound_gate():
     k6 = complete(6)

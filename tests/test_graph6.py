@@ -66,6 +66,11 @@ def test_malformed_byte_reports_offset():
         parse_graph6("C(")
     assert exc.value.offset == 1
     assert "offset 1" in str(exc.value)
+    # offsets index the text as given, not the header-less, stripped string
+    for text, offset in ((">>graph6<<C~!", 12), ("  C~!", 4)):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
 
 
 def test_truncated_stream():
