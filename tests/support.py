@@ -2,13 +2,15 @@
 
 Everything here is deliberately implemented on a different route than the
 library: eigenvalues come from exact-arithmetic inertia bisection instead
-of LAPACK, graph6 decoding walks bits one at a time, and the closure
-reference processes candidate pairs in random order.
+of LAPACK, graph6 decoding walks bits one at a time, the closure
+reference processes candidate pairs in random order, and two-colouring is
+a breadth-first search over neighbour lists.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -173,6 +175,50 @@ def decode_graph6_reference(text: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((i, j))
             idx += 1
     return n, edges
+
+
+def two_colouring(g: Graph, vertices) -> tuple[list[int], list[int]] | None:
+    """The two colour classes of the vertices (a union of components), each
+    component coloured from its least vertex; None if one has an odd cycle."""
+    colour = {}
+    for s in sorted(vertices):
+        if s in colour:
+            continue
+        colour[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in g.neighbors(v):
+                if u not in colour:
+                    colour[u] = 1 - colour[v]
+                    queue.append(u)
+                elif colour[u] == colour[v]:
+                    return None
+    return ([v for v in sorted(colour) if colour[v] == 0],
+            [v for v in sorted(colour) if colour[v] == 1])
+
+
+def regular_or_semiregular_reference(g: Graph) -> bool:
+    """Every component with an edge is regular, or two-colourable with one
+    degree on each colour class."""
+    degs = g.degrees()
+    seen: set[int] = set()
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        if len({degs[v] for v in comp}) == 1:
+            continue
+        parts = two_colouring(g, comp)
+        if parts is None or any(len({degs[v] for v in part}) != 1 for part in parts):
+            return False
+    return True
 
 
 def closure_reference(g: Graph, k: int, rng: random.Random) -> Graph:

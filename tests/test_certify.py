@@ -24,8 +24,11 @@ from hamspec import (
     cycle,
     disjoint_union,
     enumerate_labeled,
+    from_edges,
     hamilton_profile,
     join_of_two_cliques,
+    path,
+    random_regular,
     recognize_exception,
     regular_join_clique,
     signless_spectral_radius,
@@ -35,7 +38,12 @@ from hamspec import (
 )
 from hamspec import recognizers
 
-from support import degree_preserving_rewire, prism, random_graph
+from support import (
+    degree_preserving_rewire,
+    prism,
+    random_graph,
+    regular_or_semiregular_reference,
+)
 from verify_family import verify_family_member
 
 T31 = CriterionId.T31_AdjacencyHC
@@ -251,6 +259,45 @@ def test_recognizers_match_constructed_orbits_exhaustively(n):
              for s in [write_graph6(g)]
              for check, orbit in orbits.items() if check(g) != (s in orbit)]
     assert wrong == []
+
+
+def _subdivided_k4():
+    # vertices 0-3 of degree 3, one degree-2 vertex on each of the six edges
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    return from_edges(10, [e for k, (u, v) in enumerate(pairs) for e in ((u, 4 + k), (4 + k, v))])
+
+
+def test_semiregular_rule_matches_two_colouring():
+    """Every component with an edge is regular or bipartite semiregular,
+    against a two-colouring reference: exhaustively at orders 1-6, where no
+    non-regular semiregular component is larger than a star or K_{2,3}, and
+    on structured and random larger graphs."""
+    check = recognizers.all_nontrivial_components_regular_or_semiregular
+    for n in range(1, 7):
+        for g in enumerate_labeled(n):
+            assert check(g) == regular_or_semiregular_reference(g), write_graph6(g)
+    k4s = _subdivided_k4()
+    cases = {
+        "subdivided K4": (k4s, True),
+        "two subdivided K4": (disjoint_union(k4s, k4s), True),
+        "subdivided K4 + C5": (disjoint_union(k4s, cycle(5)), True),
+        "subdivided K4 + P3": (disjoint_union(k4s, path(3)), True),
+        "subdivided K4 + P4": (disjoint_union(k4s, path(4)), False),
+        "subdivided K4 with a pendant": (
+            from_edges(11, [*((u, v) for u in range(10) for v in k4s.neighbors(u)), (0, 10)]),
+            False),
+        "C5 + P4": (disjoint_union(cycle(5), path(4)), False),
+        "K5,5 minus a matching": (balanced_bipartite_minus_matching(10), True),
+        "3-regular": (random_regular(16, 3, 7), True),
+        "K2,4 + K3": (disjoint_union(complete_bipartite(2, 4), complete(3)), True),
+    }
+    for name, (g, expected) in cases.items():
+        assert check(g) is expected, name
+        assert regular_or_semiregular_reference(g) is expected, name
+    rng = random.Random(29)
+    for _ in range(400):
+        g = random_graph(rng.randrange(8, 31), rng.choice((0.05, 0.1, 0.2, 0.5)), rng)
+        assert check(g) == regular_or_semiregular_reference(g), write_graph6(g)
 
 
 def test_complement_radii_are_read_from_the_graphs_own_rows(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -50,7 +51,24 @@ def test_from_edges_rejects_bad_input():
         from_edges(0, [])
 
 
+def _valid_rows(n, rows):
+    """In range, loop-free and symmetric, read pair by pair."""
+    return (all(0 <= row < 1 << n and not row >> v & 1 for v, row in enumerate(rows))
+            and all(rows[u] >> v & 1 == rows[v] >> u & 1 for u in range(n) for v in range(u)))
+
+
 def test_graph_invariants_enforced():
+    # every row tuple at orders 1-4, with negative rows and out-of-range bits
+    for n in range(1, 5):
+        values = (-2, -1, *range(1 << n), 1 << n, (1 << n) | 1, 1 << 62)
+        for rows in product(values, repeat=n):
+            try:
+                accepted = Graph(n, rows).rows == rows
+            except ValueError:
+                accepted = False
+            assert accepted == _valid_rows(n, rows), rows
+    with pytest.raises(ValueError):
+        Graph(3, (0b10, 0b01))  # too few rows
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):

@@ -48,6 +48,11 @@ def test_roundtrip_random_orders():
 
 
 def test_against_reference_decoder():
+    """The pair order, pinned on every labeled graph of orders 1-6 and on
+    random graphs up to order 40."""
+    for n in range(1, 7):
+        for g in enumerate_labeled(n):
+            assert decode_graph6_reference(write_graph6(g)) == (n, set(g.edges()))
     rng = random.Random(23)
     for n in (5, 9, 13, 40):
         for _ in range(20):
@@ -67,7 +72,9 @@ def test_malformed_byte_reports_offset():
     assert exc.value.offset == 1
     assert "offset 1" in str(exc.value)
     # offsets index the text as given, not the header-less, stripped string
-    for text, offset in ((">>graph6<<C~!", 12), ("  C~!", 4)):
+    # a nonzero padding bit is reported at the data byte that holds it
+    for text, offset in ((">>graph6<<C~!", 12), ("  C~!", 4),
+                         ("A" + chr(63 + 0b011111), 1), ("  A" + chr(63 + 0b011111), 3)):
         with pytest.raises(Graph6Error) as exc:
             parse_graph6(text)
         assert exc.value.offset == offset

@@ -46,6 +46,14 @@ def test_enumeration_order_is_edge_mask_order():
     assert triangle_pairs(4) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
+def test_edge_mask_bit_i_is_pair_i():
+    for n in range(1, 6):
+        pairs = triangle_pairs(n)
+        for mask in range(1 << len(pairs)):
+            g = harness.graph_from_edge_mask(n, mask)
+            assert set(g.edges()) == {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
+
+
 def test_labeled_graphs_on_four_vertices_fall_into_eleven_classes():
     classes = {canonical_graph6(g) for g in enumerate_labeled(4)}
     assert len(classes) == 11

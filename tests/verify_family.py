@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from hamspec import (
     Graph,
-    balanced_bipartite_minus_matching,
     clique_plus_isolated,
     clique_plus_pendant,
     clique_plus_two_edges,
@@ -18,8 +17,9 @@ from hamspec import (
     join_of_two_cliques,
 )
 from hamspec.certify import FamilyTag
-from hamspec.graph import _bits
-from hamspec.recognizers import _bipartition, universal_vertices
+from hamspec.recognizers import universal_vertices
+
+from support import two_colouring
 
 
 def _perm_from_order(order: list[int]) -> list[int]:
@@ -83,10 +83,10 @@ def verify_family_member(g: Graph, tag: FamilyTag) -> bool:
         return g.relabel(_perm_from_order(order)) == join_of_two_cliques(n, len(small))
 
     if tag is FamilyTag.BALANCED_COMPLETE_BIPARTITE:
-        parts = _bipartition(g, (1 << n) - 1)
+        parts = two_colouring(g, range(n))
         if parts is None:
             return False
-        a, b = (_bits(m) for m in parts)
+        a, b = parts
         if len(a) != len(b):
             return False
         order = a + b
@@ -103,24 +103,3 @@ def verify_family_member(g: Graph, tag: FamilyTag) -> bool:
 
     raise ValueError(f"no verifier for {tag!r}")
 
-
-def verify_balanced_minus_matching(g: Graph) -> bool:
-    """Certificate that g is a balanced complete bipartite minus a perfect matching."""
-    n = g.n
-    if n % 2 or any(d != n // 2 - 1 for d in g.degrees()):
-        return False
-    parts = _bipartition(g, (1 << n) - 1)
-    if parts is None:
-        return False
-    a, b = (_bits(m) for m in parts)
-    if len(a) != len(b):
-        return False
-    # each left vertex misses exactly one right vertex: pair them up
-    order_b = []
-    for v in a:
-        missing = [u for u in b if not g.has_edge(u, v)]
-        if len(missing) != 1 or missing[0] in order_b:
-            return False
-        order_b.append(missing[0])
-    order = a + order_b
-    return g.relabel(_perm_from_order(order)) == balanced_bipartite_minus_matching(n)
