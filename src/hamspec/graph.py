@@ -3,6 +3,11 @@
 Vertices are the integers 0..n-1.  Row v is an integer whose bit u is set
 iff u and v are adjacent, so neighborhood intersections, degree counts and
 connectivity all reduce to machine-word operations for n <= 62.
+
+This module owns the one packing of the rows into a single integer: the
+edge mask, whose bit j(j-1)/2 + i is the pair (i, j), i < j.  Corpora are
+enumerated and sampled as edge masks, graph6 streams are edge masks, and a
+row tuple is valid exactly when it is the decoding of its own edge mask.
 """
 
 from __future__ import annotations
@@ -22,23 +27,13 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {self.n}")
+        _check_order(self.n)
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {v} has neighbor bits outside 0..{self.n - 1}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            m = row
-            while m:
-                b = m & -m
-                m -= b
-                u = b.bit_length() - 1
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        # valid rows are exactly the symmetric closure of their own lower
+        # triangle: no loop, no bit outside 0..n-1, no negative row
+        if self.rows != _rows_from_edge_mask(self.n, _edge_mask(self.rows)):
+            raise ValueError(f"rows must be loop-free, symmetric and within 0..{self.n - 1}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -77,11 +72,8 @@ class Graph:
             while frontier:
                 comp |= frontier
                 nxt = 0
-                m = frontier
-                while m:
-                    b = m & -m
-                    m -= b
-                    nxt |= self.rows[b.bit_length() - 1]
+                for u in _bits(frontier):
+                    nxt |= self.rows[u]
                 frontier = nxt & ~comp
             comps.append(comp)
             seen |= comp
@@ -110,10 +102,39 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+
+
+def _edge_mask(rows: Sequence[int]) -> int:
+    """Lower triangles packed in column-major pair order: pair (i, j), i < j,
+    is bit j(j-1)/2 + i, so (0,1), (0,2), (1,2), (0,3), ... are bits 0, 1, 2, 3, ..."""
+    mask = 0
+    for j, row in enumerate(rows):
+        mask |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return mask
+
+
+def _rows_from_edge_mask(n: int, mask: int) -> tuple[int, ...]:
+    """The rows whose edge mask is `mask`; bits past the last pair are ignored."""
+    _check_order(n)
+    rows = [0] * n
+    for j in range(1, n):
+        col = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        rows[j] = col
+        bit = 1 << j
+        # an inline low-bit loop, not _bits: every Graph is validated through here
+        while col:
+            low = col & -col
+            col -= low
+            rows[low.bit_length() - 1] |= bit
+    return tuple(rows)
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicates and reversed pairs collapse."""
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

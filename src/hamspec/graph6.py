@@ -2,12 +2,14 @@
 
 Encoding: first byte is 63 + n; the upper triangle is read in column-major
 order ((0,1), (0,2), (1,2), (0,3), ...), packed most-significant-bit first
-into 6-bit groups, zero-padded, each group emitted as 63 + value.
+into 6-bit groups, zero-padded, each group emitted as 63 + value.  That
+order is the edge mask of `graph.py`, which owns it: stream bit i is mask
+bit i.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, _edge_mask, _rows_from_edge_mask
 
 _HEADER = ">>graph6<<"
 
@@ -45,35 +47,19 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated bit stream: need {need} data bytes, got {len(vals) - 1}", skip + len(s))
     if len(vals) - 1 > need:
         raise Graph6Error("trailing data after bit stream", skip + 1 + need)
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = vals[1 + idx // 6]
-            if byte >> (5 - idx % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+    bits = "".join(f"{v:06b}" for v in vals[1:])
     # padding bits beyond the triangle must be zero for a canonical stream
-    for idx in range(npairs, need * 6):
-        if vals[1 + idx // 6] >> (5 - idx % 6) & 1:
-            raise Graph6Error("nonzero padding bit", skip + 1 + idx // 6)
-    return Graph(n, tuple(rows))
+    pad = bits.find("1", npairs)
+    if pad >= 0:
+        raise Graph6Error("nonzero padding bit", skip + 1 + pad // 6)
+    return Graph(n, _rows_from_edge_mask(n, int(bits[:npairs][::-1] or "0", 2)))
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical (header-free, minimal-length) graph6 encoding."""
-    out = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (g.rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    npairs = g.n * (g.n - 1) // 2
+    # bit i of the edge mask is stream bit i; format(0, "00b") would be "0"
+    bits = format(_edge_mask(g.rows), f"0{npairs}b")[::-1] if npairs else ""
+    bits += "0" * (-npairs % 6)
+    return chr(63 + g.n) + "".join(chr(63 + int(bits[k:k + 6], 2))
+                                   for k in range(0, len(bits), 6))

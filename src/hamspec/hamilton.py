@@ -54,6 +54,7 @@ def _endpoint_table(rows: tuple[int, ...], n: int, start: int) -> list[int]:
         if not ends:
             continue
         free = ~mask
+        # inline low-bit loops, not _bits: this is the oracle DP's inner loop
         while ends:
             vbit = ends & -ends
             ends -= vbit

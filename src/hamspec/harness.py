@@ -4,7 +4,7 @@ Random graphs come from an explicit 64-bit linear congruential generator
 (MMIX constants: x' = 6364136223846793005*x + 1442695040888963407 mod 2^64,
 uniform draw = x' >> 11 scaled by 2^-53) so that identical seeds reproduce
 identical corpora on any platform.  Edge bits are drawn in the column-major
-pair order (0,1), (0,2), (1,2), (0,3), ... used throughout.
+pair order (0,1), (0,2), (1,2), (0,3), ... of `graph.py`'s edge mask.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from ._report import Report
-from .graph import Graph
+from .graph import Graph, _rows_from_edge_mask
 from .graph6 import write_graph6
 from .families import remark_family
 from .closure import k_closure
@@ -66,15 +66,7 @@ def triangle_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    rows = [0] * n
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> bit & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, _rows_from_edge_mask(n, mask))
 
 
 def enumerate_labeled(n: int) -> Iterator[Graph]:

@@ -7,7 +7,8 @@ sequence; complete plus isolated by k non-isolated vertices on C(k, 2)
 edges; the join of two cliques by two universal vertices over a rest whose
 closed neighbourhoods are two disjoint sets covering it; K_{n/2,n/2} by two
 complementary row values of n/2 bits; the regular join clique by universal
-vertices over vertices of degree n/2.
+vertices over vertices of degree n/2; a semiregular component by two
+independent degree classes.
 """
 
 from __future__ import annotations
@@ -111,50 +112,12 @@ def all_nontrivial_components_regular_or_semiregular(g: Graph) -> bool:
     """
     degs = g.degrees()
     for comp in g.components():
-        if comp.bit_count() < 2:
-            continue
-        cdegs = {degs[v] for v in _bits(comp)}
-        if len(cdegs) == 1:
-            continue
-        parts = _bipartition(g, comp)
-        if parts is None:
-            return False
-        a, b = parts
-        if len({degs[v] for v in _bits(a)}) != 1:
-            return False
-        if len({degs[v] for v in _bits(b)}) != 1:
+        classes: dict[int, int] = {}
+        for v in _bits(comp):
+            classes[degs[v]] = classes.get(degs[v], 0) | 1 << v
+        # a semiregular component that is not regular has its two sides as
+        # its two degree classes, and two independent classes are such sides
+        if len(classes) > 2 or len(classes) == 2 and any(
+                g.rows[v] & classes[degs[v]] for v in _bits(comp)):
             return False
     return True
-
-
-# -- helpers ---------------------------------------------------------------
-
-
-def _bipartition(g: Graph, mask: int) -> tuple[int, int] | None:
-    """Two-color the vertices in the mask; None if an odd cycle exists.
-
-    The mask must be closed under adjacency (a union of components).
-    """
-    color = {}
-    a = b = 0
-    for start in _bits(mask):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in _bits(g.rows[v]):
-                if u not in color:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    for v, c in color.items():
-        if c == 0:
-            a |= 1 << v
-        else:
-            b |= 1 << v
-    # isolated vertices in the mask land in part a
-    a |= mask & ~(a | b)
-    return a, b

@@ -53,6 +53,7 @@ def adjacency_matrix(g: Graph, of_complement: bool = False) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for v, row in enumerate(g.rows):
         m = full ^ row ^ (1 << v) if of_complement else row
+        # an inline low-bit loop, not _bits: every eigensolve builds a matrix here
         while m:
             b = m & -m
             m -= b

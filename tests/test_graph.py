@@ -49,6 +49,8 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         from_edges(0, [])
+    with pytest.raises(ValueError):
+        from_edges(1 << 62, [])  # rejected before any row is allocated
 
 
 def _valid_rows(n, rows):

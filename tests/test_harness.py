@@ -52,6 +52,8 @@ def test_edge_mask_bit_i_is_pair_i():
         for mask in range(1 << len(pairs)):
             g = harness.graph_from_edge_mask(n, mask)
             assert set(g.edges()) == {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
+    with pytest.raises(ValueError):
+        harness.graph_from_edge_mask(1 << 62, 0)  # rejected before any row is allocated
 
 
 def test_labeled_graphs_on_four_vertices_fall_into_eleven_classes():
