@@ -33,7 +33,8 @@ class Graph:
         # valid rows are exactly the symmetric closure of their own lower
         # triangle: no loop, no bit outside 0..n-1, no negative row
         if self.rows != _rows_from_edge_mask(self.n, _edge_mask(self.rows)):
-            raise ValueError(f"rows must be loop-free, symmetric and within 0..{self.n - 1}")
+            raise ValueError(
+                f"rows must be a tuple of loop-free, symmetric rows within 0..{self.n - 1}")
 
     # -- basic queries ----------------------------------------------------
 
