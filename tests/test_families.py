@@ -14,6 +14,7 @@ from hamspec import (
     construct,
     cycle,
     family_spec,
+    from_edges,
     join_of_two_cliques,
     path,
     regular_join_clique,
@@ -88,6 +89,23 @@ def test_clique_plus_isolated_and_pendant():
     assert sorted(g.degrees()) == [0, 4, 4, 4, 4, 4]
     g = clique_plus_pendant(6)
     assert sorted(g.degrees()) == [1, 4, 4, 4, 4, 5]
+
+
+@pytest.mark.parametrize("make,minimum,joined", [
+    (clique_plus_isolated, 2, []),
+    (clique_plus_pendant, 2, [0]),
+    (clique_plus_two_edges, 3, [0, 1]),
+])
+def test_clique_plus_constructors_match_their_edge_lists(make, minimum, joined):
+    """K_{n-1} on 0..n-2 plus vertex n-1 joined as documented, at every
+    order from the family minimum to 62; other orders are rejected before
+    any row is built."""
+    for n in range(minimum, 63):
+        clique = [(u, v) for v in range(n - 1) for u in range(v)]
+        assert make(n) == from_edges(n, clique + [(u, n - 1) for u in joined])
+    for n in (*range(minimum), 63, 1 << 62):
+        with pytest.raises(ValueError):
+            make(n)
 
 
 def test_balanced_bipartite_minus_matching():

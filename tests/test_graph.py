@@ -120,6 +120,12 @@ def test_disjoint_union():
     assert two.n == 2 and two.edge_count == 0
 
 
+def test_union_and_join_reject_orders_above_62():
+    for combine in (disjoint_union, join):
+        with pytest.raises(ValueError):
+            combine(complete(40), complete(30))
+
+
 def test_complete_bipartite_is_complement_of_two_cliques():
     assert complete_bipartite(3, 3) == complement(disjoint_union(complete(3), complete(3)))
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from hamspec import (
     enumerate_labeled,
     from_edges,
     path,
+    sample_random,
     signless_spectral_radius,
     spectral_summary,
     star,
@@ -215,3 +217,43 @@ def test_bound_suite_holds_on_random_batch():
     for _ in range(1000):
         g = random_graph(10, 0.5, rng)
         assert all(r.holds for r in bound_suite(g))
+
+
+# (bound, holds, equality, equality_expected) -> count over every labeled
+# graph of orders 1-5 and 20 G(n, 1/2) draws (seed n) at each order below;
+# flags, not floats, so the pin does not depend on the LAPACK build
+_FLAG_COUNTS = {
+    ("mu_edge_upper", True, False, False): 1152,
+    ("mu_edge_upper", True, True, True): 47,
+    ("dm_mean_upper", True, False, False): 898,
+    ("dm_mean_upper", True, True, True): 300,
+    ("gamma_dm_upper", True, False, False): 980,
+    ("gamma_dm_upper", True, True, True): 219,
+    ("gamma_mean_upper", True, False, False): 1169,
+    ("gamma_mean_upper", True, True, True): 29,
+    ("hofmeister_lower", True, False, False): 1150,
+    ("hofmeister_lower", True, True, False): 49,
+    ("gamma_ratio_lower", True, False, False): 1020,
+    ("gamma_ratio_lower", True, True, False): 174,
+    ("gamma_two_mu_lower", True, False, False): 1094,
+    ("gamma_two_mu_lower", True, True, False): 105,
+}
+
+
+def test_bound_flags_pinned_on_small_and_sampled_graphs():
+    """Every bound's flags over a fixed corpus, and the bound ids of each
+    graph: BOUND_IDS in order, less the mean bounds at n = 1 and the
+    degree-ratio bound when e(G) = 0."""
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled(n)]
+    graphs += [g for n in (8, 12, 20, 40, 62) for g in sample_random(n, 0.5, 20, seed=n)]
+    counts = Counter()
+    for g in graphs:
+        reports = bound_suite(g)
+        skipped = set()
+        if g.n < 2:
+            skipped |= {"dm_mean_upper", "gamma_mean_upper"}
+        if g.edge_count == 0:
+            skipped.add("gamma_ratio_lower")
+        assert [r.bound for r in reports] == [b for b in BOUND_IDS if b not in skipped]
+        counts.update((r.bound, r.holds, r.equality, r.equality_case_expected) for r in reports)
+    assert counts == _FLAG_COUNTS
