@@ -1,5 +1,7 @@
 """Spectral certificates and exact oracles for Hamiltonian structure in small graphs."""
 
+from types import ModuleType as _ModuleType
+
 from .graph import MAX_ORDER, Graph, complement, degree_data, disjoint_union, from_edges, join
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .families import (
@@ -79,4 +81,6 @@ from .harness import (
     validate_closure_equivalence,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules; they are not exports
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

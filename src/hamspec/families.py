@@ -10,7 +10,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import MAX_ORDER, Graph, from_edges, join, disjoint_union
+from .graph import Graph, _check_order as _check_graph_order, from_edges, join, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def _known(kind: str) -> str:
 def _check_order(n: int, minimum: int, what: str) -> None:
     if n < minimum:
         raise ValueError(f"{what} needs order >= {minimum}, got {n}")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds {MAX_ORDER}")
+    _check_graph_order(n)
 
 
 def complete(n: int) -> Graph:
@@ -88,28 +87,26 @@ def path(n: int) -> Graph:
 
 def clique_plus_isolated(n: int) -> Graph:
     """Complete graph on 0..n-2 plus the isolated vertex n-1."""
-    _check_order(n, 2, "clique plus isolated vertex")
-    return disjoint_union(complete(n - 1), Graph(1, (0,)))
+    return _clique_plus_vertex(n, 0, "clique plus isolated vertex")
 
 
 def clique_plus_pendant(n: int) -> Graph:
     """Complete graph on 0..n-2 with vertex n-1 pendant on vertex 0."""
-    _check_order(n, 2, "clique plus pendant edge")
-    g = clique_plus_isolated(n)
-    rows = list(g.rows)
-    rows[0] |= 1 << (n - 1)
-    rows[n - 1] |= 1
-    return Graph(n, tuple(rows))
+    return _clique_plus_vertex(n, 1, "clique plus pendant edge")
 
 
 def clique_plus_two_edges(n: int) -> Graph:
     """Complete graph on 0..n-2 with vertex n-1 joined to vertices 0 and 1."""
-    _check_order(n, 3, "clique plus two edges")
-    g = clique_plus_isolated(n)
-    rows = list(g.rows)
-    rows[0] |= 1 << (n - 1)
-    rows[1] |= 1 << (n - 1)
-    rows[n - 1] |= 0b11
+    return _clique_plus_vertex(n, 2, "clique plus two edges")
+
+
+def _clique_plus_vertex(n: int, a: int, what: str) -> Graph:
+    """Complete graph on 0..n-2 with vertex n-1 joined to vertices 0..a-1."""
+    _check_order(n, max(2, a + 1), what)
+    clique = (1 << (n - 1)) - 1
+    rows = [clique ^ (1 << v) for v in range(n - 1)] + [(1 << a) - 1]
+    for v in range(a):
+        rows[v] |= 1 << (n - 1)
     return Graph(n, tuple(rows))
 
 

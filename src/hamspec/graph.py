@@ -154,8 +154,6 @@ def complement(g: Graph) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
-    if n > MAX_ORDER:
-        raise ValueError(f"combined order {n} exceeds {MAX_ORDER}")
     rows = list(g1.rows) + [row << g1.n for row in g2.rows]
     return Graph(n, tuple(rows))
 
@@ -163,8 +161,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
     n = g1.n + g2.n
-    if n > MAX_ORDER:
-        raise ValueError(f"combined order {n} exceeds {MAX_ORDER}")
     left = (1 << g1.n) - 1
     right = ((1 << n) - 1) ^ left
     rows = [row | right for row in g1.rows]

@@ -2,13 +2,15 @@
 
 Each predicate is a label-independent iff characterization read from the
 bit rows in O(n^2) bit operations, with no subgraph built and no isomorphism
-search.  The rules: the clique-plus families and the star by sorted degree
-sequence; complete plus isolated by k non-isolated vertices on C(k, 2)
-edges; the join of two cliques by two universal vertices over a rest whose
-closed neighbourhoods are two disjoint sets covering it; K_{n/2,n/2} by two
-complementary row values of n/2 bits; the regular join clique by universal
-vertices over vertices of degree n/2; a semiregular component by two
-independent degree classes.
+search.  The rules: K_{n-1} plus a vertex joined to a = 0, 1 or 2 of its
+vertices (clique plus isolated vertex, pendant or two edges) by the one
+sorted degree sequence [a] + [n-2]*(n-1-a) + [n-1]*a; the star by its sorted
+degree sequence; complete plus isolated by k non-isolated vertices on
+C(k, 2) edges; the join of two cliques by two universal vertices over a
+rest whose closed neighbourhoods are two disjoint sets covering it;
+K_{n/2,n/2} by two complementary row values of n/2 bits; the regular join
+clique by universal vertices over vertices of degree n/2; a semiregular
+component by two independent degree classes.
 """
 
 from __future__ import annotations
@@ -44,26 +46,26 @@ def is_complete_plus_isolated(g: Graph) -> bool:
 
 def is_clique_plus_isolated(g: Graph) -> bool:
     """A complete graph on n-1 vertices plus exactly one isolated vertex."""
-    if g.n < 2:
-        return False
-    return sorted(g.degrees()) == [0] + [g.n - 2] * (g.n - 1)
+    return _is_clique_plus_vertex(g, 0)
 
 
 def is_clique_plus_pendant(g: Graph) -> bool:
     """A complete graph on n-1 vertices with one pendant vertex attached."""
-    if g.n < 2:
-        return False
-    n = g.n
-    return sorted(g.degrees()) == sorted([1] + [n - 2] * (n - 2) + [n - 1])
+    return _is_clique_plus_vertex(g, 1)
 
 
 def is_clique_plus_two_edges(g: Graph) -> bool:
     """A complete graph on n-1 vertices plus a vertex joined to two of them."""
+    return _is_clique_plus_vertex(g, 2)
+
+
+def _is_clique_plus_vertex(g: Graph, a: int) -> bool:
+    """A complete graph on n-1 vertices plus a vertex joined to a of them."""
     n = g.n
-    # the two degree-(n-1) vertices are universal, so they are the degree-2
+    # the a degree-(n-1) vertices are universal, so they are the degree-a
     # vertex's only neighbours, and every other vertex misses only that one
-    # (below n = 3 the list is longer than n, so nothing matches)
-    return sorted(g.degrees()) == [2] + [n - 2] * (n - 3) + [n - 1] * 2
+    # (below n = a + 1 the list is longer than n, so nothing matches)
+    return n >= 2 and sorted(g.degrees()) == [a] + [n - 2] * (n - 1 - a) + [n - 1] * a
 
 
 def is_join_of_two_cliques(g: Graph) -> bool:

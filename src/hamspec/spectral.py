@@ -2,7 +2,8 @@
 
 mu(G) is the largest adjacency eigenvalue, gamma(G) the largest eigenvalue
 of the signless Laplacian D(G) + A(G).  Bounds are normalized to the form
-lhs <= rhs, so slack = rhs - lhs and a bound holds iff slack >= -1e-9.
+lhs <= rhs, so slack = rhs - lhs and a bound holds iff slack >= -1e-9, or
+slack >= 0 when both sides are exact rationals.
 """
 
 from __future__ import annotations
@@ -109,56 +110,48 @@ class BoundReport(Report):
     equality_case_expected: bool = field(metadata={"json": "equality_expected"})
 
 
-def _float_bound(bound: str, lhs: float, rhs: float, expected: bool) -> BoundReport:
-    slack = rhs - lhs
-    return BoundReport(bound, lhs, rhs, slack,
-                       holds=slack >= -TOLERANCE,
-                       equality=abs(slack) <= EQUALITY_TOL,
-                       equality_case_expected=expected)
-
-
 def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundReport]:
     """Evaluate every applicable bound on g, one report per bound, in
     BOUND_IDS order.
 
     Skipped for lack of definition: the two mean bounds at n = 1 (their
     right-hand sides divide by n - 1) and the degree-ratio bound when
-    e(G) = 0.  The degree-mean bound is compared in exact rational
-    arithmetic, so its equality flag carries no tolerance.
+    e(G) = 0.  A bound whose two sides are exact rationals (today the
+    degree-mean bound) is compared exactly, so its flags carry no
+    tolerance; the others hold within TOLERANCE and are equalities within
+    EQUALITY_TOL.
     """
     s = summary or spectral_summary(g)
     n, m = g.n, s.edge_count
+    mean_rhs = Fraction(2 * m, n - 1) + (n - 2) if n >= 2 else None
+    if g.is_connected():
+        mean_expected = recognizers.is_star(g) or recognizers.is_complete(g)
+    else:
+        mean_expected = recognizers.is_clique_plus_isolated(g)
+    # bound -> (lhs, rhs, equality_expected), or None where undefined
+    sides = {
+        "mu_edge_upper": (s.mu, -0.5 + math.sqrt(2 * m + 0.25),
+                          recognizers.is_complete_plus_isolated(g)),
+        "dm_mean_upper": (s.max_d_plus_m, mean_rhs,
+                          bool(recognizers.universal_vertices(g))
+                          or recognizers.is_clique_plus_isolated(g)) if n >= 2 else None,
+        "gamma_dm_upper": (s.gamma, s.max_d_plus_m,
+                           recognizers.all_nontrivial_components_regular_or_semiregular(g)),
+        "gamma_mean_upper": (s.gamma, mean_rhs, mean_expected) if n >= 2 else None,
+        "hofmeister_lower": (s.degree_square_sum, n * s.mu * s.mu, False),
+        "gamma_ratio_lower": (Fraction(s.degree_square_sum, m), s.gamma, False) if m > 0 else None,
+        "gamma_two_mu_lower": (2 * s.mu, s.gamma, False),
+    }
     out = []
-
-    rhs = -0.5 + math.sqrt(2 * m + 0.25)
-    out.append(_float_bound("mu_edge_upper", s.mu, rhs,
-                            recognizers.is_complete_plus_isolated(g)))
-
-    if n >= 2:
-        mean_rhs = Fraction(2 * m, n - 1) + (n - 2)
-        expected = bool(recognizers.universal_vertices(g)) or recognizers.is_clique_plus_isolated(g)
-        slack = mean_rhs - s.max_d_plus_m
-        out.append(BoundReport("dm_mean_upper", float(s.max_d_plus_m), float(mean_rhs),
-                               float(slack), holds=slack >= 0, equality=slack == 0,
-                               equality_case_expected=expected))
-
-    out.append(_float_bound(
-        "gamma_dm_upper", s.gamma, float(s.max_d_plus_m),
-        recognizers.all_nontrivial_components_regular_or_semiregular(g)))
-
-    if n >= 2:
-        if g.is_connected():
-            mean_expected = recognizers.is_star(g) or recognizers.is_complete(g)
+    for bound in BOUND_IDS:
+        if sides[bound] is None:
+            continue
+        lhs, rhs, expected = sides[bound]
+        slack = rhs - lhs
+        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+            holds, equality = slack >= 0, slack == 0
         else:
-            mean_expected = recognizers.is_clique_plus_isolated(g)
-        out.append(_float_bound("gamma_mean_upper", s.gamma, float(mean_rhs), mean_expected))
-
-    out.append(_float_bound("hofmeister_lower", float(s.degree_square_sum),
-                            n * s.mu * s.mu, False))
-
-    if m > 0:
-        out.append(_float_bound("gamma_ratio_lower",
-                                float(Fraction(s.degree_square_sum, m)), s.gamma, False))
-
-    out.append(_float_bound("gamma_two_mu_lower", 2 * s.mu, s.gamma, False))
+            holds, equality = slack >= -TOLERANCE, abs(slack) <= EQUALITY_TOL
+        out.append(BoundReport(bound, float(lhs), float(rhs), float(slack),
+                               holds, equality, expected))
     return out

@@ -329,3 +329,19 @@ def test_t34_boundary_counterexamples_generalize():
         v = apply_criterion(g, CriterionId.T34_ComplementSignlessHC)
         assert v.predicted is Prediction.HAMILTON_CONNECTED
         assert not is_hamilton_connected(g)
+
+
+def test_sample_random_rejects_order_and_p_at_the_call():
+    with pytest.raises(ValueError):
+        sample_random(63, 0.5, 1, 1)
+    with pytest.raises(ValueError):
+        sample_random(5, 1.5, 1, 1)
+
+
+def test_random_regular_rejects_the_order_before_pairing(monkeypatch):
+    def no_shuffle(self, items):
+        raise AssertionError("pairing started before the order was checked")
+
+    monkeypatch.setattr(harness.Lcg, "shuffle", no_shuffle)
+    with pytest.raises(ValueError):
+        random_regular(64, 2, 1)
