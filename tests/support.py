@@ -283,3 +283,35 @@ def complete_split(independent: int, clique: int) -> Graph:
     edges = [(u, v) for u in range(independent, n) for v in range(u + 1, n)]
     edges += [(u, v) for u in range(independent) for v in range(independent, n)]
     return from_edges(n, edges)
+
+
+def structured_family_graphs() -> list[Graph]:
+    """Family members at every order up to 62, where the large-order ties
+    live: complete, path, star and cycle graphs, K_{a,n-a}, the three
+    clique-plus-a-vertex graphs, circulants on the offsets 1..k, the joins
+    of two cliques to an edge, the regular parts joined to a clique and the
+    balanced bipartite graphs less a perfect matching.  Each parameter is
+    taken at its ends and next to them, so the corpus stays small."""
+    from hamspec import (
+        balanced_bipartite_minus_matching, circulant, clique_plus_isolated,
+        clique_plus_pendant, clique_plus_two_edges, complete, complete_bipartite,
+        cycle, join_of_two_cliques, path, regular_join_clique, star)
+
+    def ends(lo, hi):
+        return sorted({lo, lo + 1, hi - 1, hi} & set(range(lo, hi + 1)))
+
+    graphs = []
+    for n in range(1, 63):
+        graphs += [complete(n), path(n), star(n)]
+        graphs += [complete_bipartite(a, n - a) for a in ends(1, n // 2)]
+        if n >= 2:
+            graphs += [clique_plus_isolated(n), clique_plus_pendant(n)]
+        if n >= 3:
+            graphs += [cycle(n), clique_plus_two_edges(n)]
+            graphs += [circulant(n, range(1, k + 1)) for k in ends(1, n // 2)]
+        graphs += [join_of_two_cliques(n, s) for s in ends(1, (n - 2) // 2)]
+        if n % 2 == 0:
+            graphs.append(balanced_bipartite_minus_matching(n))
+            graphs += [regular_join_clique(n, r) for r in ends(1, n // 2)
+                       if (n - r) * (n // 2 - r) % 2 == 0]
+    return graphs

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -43,6 +44,7 @@ from support import (
     prism,
     random_graph,
     regular_or_semiregular_reference,
+    structured_family_graphs,
 )
 from verify_family import verify_family_member
 
@@ -435,3 +437,47 @@ def test_verdict_counts_over_all_small_labeled_graphs():
                        v.exception.value if v.exception else None)
                 counts[key] = counts.get(key, 0) + 1
     assert counts == _VERDICT_COUNTS_ORDERS_1_TO_5
+
+
+# (criterion, status, predicted, exception) -> count over the structured
+# families at every order up to 62, each criterion from its minimum order;
+# the Boundary rows are float ties inside the strict tiers' zero band
+_FAMILY_VERDICT_COUNTS = {
+    ("T31", "Boundary", "NoPrediction", None): 6,
+    ("T31", "NotSatisfied", "NoPrediction", None): 1102,
+    ("T31", "Satisfied", "HamiltonConnected", "CliquePlusTwoEdges"): 9,
+    ("T31", "Satisfied", "HamiltonConnected", None): 118,
+    ("T32", "Boundary", "NoPrediction", None): 6,
+    ("T32", "NotSatisfied", "NoPrediction", None): 1035,
+    ("T32", "Satisfied", "HamiltonConnected", None): 174,
+    ("T33", "Boundary", "NoPrediction", None): 10,
+    ("T33", "NotSatisfied", "NoPrediction", None): 980,
+    ("T33", "Satisfied", "HamiltonConnected", "CliquePlusTwoEdges"): 123,
+    ("T33", "Satisfied", "HamiltonConnected", None): 119,
+    ("T34", "NotSatisfied", "NoPrediction", None): 622,
+    ("T34", "Satisfied", "HamiltonConnected", None): 172,
+    ("T34", "Satisfied", "NoPrediction", "BalancedCompleteBipartite"): 29,
+    ("T34", "Satisfied", "NoPrediction", "JoinOfTwoCliques"): 280,
+    ("T34", "Satisfied", "NoPrediction", "RegularJoinClique"): 86,
+    ("T41", "NotSatisfied", "NoPrediction", None): 822,
+    ("T41", "Satisfied", "HamiltonianCycle", "CliquePlusPendant"): 63,
+    ("T41", "Satisfied", "HamiltonianCycle", None): 242,
+    ("T41", "Satisfied", "HamiltonianPath", "CliquePlusIsolated"): 62,
+    ("T41", "Satisfied", "HamiltonianPath", None): 46,
+    ("T42", "NotSatisfied", "NoPrediction", None): 827,
+    ("T42", "Satisfied", "HamiltonianCycle", "CliquePlusPendant"): 63,
+    ("T42", "Satisfied", "HamiltonianCycle", None): 242,
+    ("T42", "Satisfied", "HamiltonianPath", "CliquePlusIsolated"): 62,
+    ("T42", "Satisfied", "HamiltonianPath", None): 41,
+}
+
+
+def test_verdicts_pinned_on_structured_families():
+    counts = Counter()
+    for g in structured_family_graphs():
+        for criterion in CriterionId:
+            if g.n >= criterion_order_minimum(criterion):
+                v = apply_criterion(g, criterion)
+                counts[(criterion.value.split("_")[0], v.status.value, v.predicted.value,
+                        v.exception and v.exception.value)] += 1
+    assert counts == _FAMILY_VERDICT_COUNTS

@@ -29,6 +29,7 @@ from support import (
     largest_eigenvalue_bisect,
     random_graph,
     signless_int_matrix,
+    structured_family_graphs,
 )
 
 
@@ -257,3 +258,30 @@ def test_bound_flags_pinned_on_small_and_sampled_graphs():
         assert [r.bound for r in reports] == [b for b in BOUND_IDS if b not in skipped]
         counts.update((r.bound, r.holds, r.equality, r.equality_case_expected) for r in reports)
     assert counts == _FLAG_COUNTS
+
+
+# (bound, holds, equality) -> count over the structured families at every
+# order up to 62, where regular and near-complete graphs put float noise
+# on exact ties at large orders
+_FAMILY_FLAG_COUNTS = {
+    ("mu_edge_upper", True, False): 1042,
+    ("mu_edge_upper", True, True): 193,
+    ("dm_mean_upper", True, False): 490,
+    ("dm_mean_upper", True, True): 742,
+    ("gamma_dm_upper", True, False): 489,
+    ("gamma_dm_upper", True, True): 746,
+    ("gamma_mean_upper", True, False): 920,
+    ("gamma_mean_upper", True, True): 312,
+    ("hofmeister_lower", True, False): 549,
+    ("hofmeister_lower", True, True): 686,
+    ("gamma_ratio_lower", True, False): 489,
+    ("gamma_ratio_lower", True, True): 741,
+    ("gamma_two_mu_lower", True, False): 752,
+    ("gamma_two_mu_lower", True, True): 483,
+}
+
+
+def test_bound_flags_pinned_on_structured_families():
+    counts = Counter((r.bound, r.holds, r.equality)
+                     for g in structured_family_graphs() for r in bound_suite(g))
+    assert counts == _FAMILY_FLAG_COUNTS
