@@ -4,10 +4,9 @@ Each criterion compares one spectral radius (of the graph or its
 complement) against an order-dependent threshold and, when satisfied,
 predicts a Hamiltonian property unless the graph matches the criterion's
 exceptional family.  The criteria are rows of one table (`_CRITERIA`).
-Strictness is handled with a 1e-9 guard band so rounding can never
-manufacture a prediction: strict criteria report Boundary (and predict
-nothing) inside the band, non-strict criteria treat exact equality as
-satisfied.
+A margin's side of zero is `spectral._sign`'s, so rounding can never
+manufacture a prediction: a strict tier needs a positive margin, a
+non-strict one accepts a tie, and a tie that fires no tier is Boundary.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from typing import Callable
 from ._report import Report
 from .graph import Graph
 from .hamilton import HamiltonProfile
-from .spectral import adjacency_spectral_radius, signless_spectral_radius
+from .spectral import _sign, adjacency_spectral_radius, signless_spectral_radius
 from . import recognizers
-
-STRICTNESS_TOL = 1e-9
 
 
 class CriterionId(Enum):
@@ -81,7 +78,7 @@ class CriterionVerdict(Report):
 class _Tier:
     """One prediction a criterion issues once its margin clears the tier."""
 
-    strict: bool                  # margin > tol; otherwise margin >= -tol
+    strict: bool                  # a tie does not fire the tier
     min_order: int
     predicted: Prediction
     tags: tuple[FamilyTag, ...]   # exception families, in reporting order
@@ -146,10 +143,12 @@ def criterion_order_minimum(criterion: CriterionId) -> int:
     return _CRITERIA[criterion].min_order
 
 
-def _check_order(criterion: CriterionId, n: int) -> None:
+def _check_args(criterion: CriterionId, n: int, shift: float) -> None:
     minimum = _CRITERIA[criterion].min_order
     if n < minimum:
         raise ValueError(f"{criterion.value} requires order >= {minimum}, got {n}")
+    if not math.isfinite(shift):  # a NaN shift would make every margin a tie
+        raise ValueError(f"threshold shift must be finite, got {shift}")
 
 
 def recognize_exception(g: Graph) -> set[FamilyTag]:
@@ -162,31 +161,28 @@ def apply_criterion(g: Graph, criterion: CriterionId, *,
     """Evaluate one criterion on g.
 
     The first tier the margin clears gives Satisfied with its prediction and
-    the first exception family that matches; a margin inside the guard band
+    the first exception family that matches; a tie (`_sign(margin) == 0`)
     that clears no tier gives Boundary.  The cycle tier of the path/cycle
     criteria needs n >= 3 (no smaller graph has a cycle).
 
     `threshold_shift` is a fault-injection hook for harness self-tests only:
     it is added to the threshold before comparison, so a negative shift makes
-    a greater-than criterion fire on graphs it should not.
+    a greater-than criterion fire on graphs it should not.  It must be finite.
     """
-    _check_order(criterion, g.n)
+    _check_args(criterion, g.n, threshold_shift)
     spec = _CRITERIA[criterion]
-    n = g.n
-    threshold = spec.threshold(n) + threshold_shift
+    threshold = spec.threshold(g.n) + threshold_shift
     radius = signless_spectral_radius if spec.signless else adjacency_spectral_radius
     lhs = radius(g, spec.of_complement)
-    margin = lhs - threshold if spec.above else threshold - lhs
+    side = _sign(lhs - threshold if spec.above else threshold - lhs)
     for tier in spec.tiers:
-        if n >= tier.min_order and (margin > STRICTNESS_TOL if tier.strict
-                                    else margin >= -STRICTNESS_TOL):
+        if g.n >= tier.min_order and (side > 0 if tier.strict else side >= 0):
             exception = next((tag for tag in tier.tags if _RECOGNIZER_BY_TAG[tag](g)), None)
             predicted = (Prediction.NO_PREDICTION if exception and tier.withdraws
                          else tier.predicted)
             return CriterionVerdict(criterion, lhs, threshold, CriterionStatus.SATISFIED,
                                     predicted, exception)
-    status = (CriterionStatus.BOUNDARY if abs(margin) <= STRICTNESS_TOL
-              else CriterionStatus.NOT_SATISFIED)
+    status = CriterionStatus.BOUNDARY if side == 0 else CriterionStatus.NOT_SATISFIED
     return CriterionVerdict(criterion, lhs, threshold, status, Prediction.NO_PREDICTION, None)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -224,10 +225,10 @@ def _parse_criterion(name: str) -> CriterionId:
 def _cmd_validate(args) -> int:
     criterion = _parse_criterion(args.criterion)
     orders = [_int(x, "--orders") for x in args.orders.split(",") if x.strip()]
-    mode = (ValidationMode.EXHAUSTIVE_LABELED if args.mode == "exhaustive"
-            else ValidationMode.RANDOM_SAMPLE)
-    report = validate(criterion, orders, mode, samples=args.samples, p=args.p,
-                      seed=args.seed, threshold_shift=args.threshold_shift)
+    if not math.isfinite(args.threshold_shift):
+        raise ValueError(f"--threshold-shift must be finite, got {args.threshold_shift}")
+    report = validate(criterion, orders, ValidationMode(args.mode), samples=args.samples,
+                      p=args.p, seed=args.seed, threshold_shift=args.threshold_shift)
     _emit(report.to_json_dict(), args)
     return 0 if report.passed else 1
 
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", required=True,
                    help="T31, T32, T33, T34, T41 or T42 (long names accepted)")
     p.add_argument("--orders", required=True, help="comma-separated orders")
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--mode", choices=[m.value for m in ValidationMode], default="exhaustive")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=1)

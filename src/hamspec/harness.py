@@ -29,7 +29,7 @@ from .hamilton import (
     has_hamiltonian_path,
     is_hamilton_connected,
 )
-from .certify import CriterionId, CriterionStatus, Prediction, _check_order, apply_criterion
+from .certify import CriterionId, CriterionStatus, Prediction, _check_args, apply_criterion
 
 ENUMERATION_CAP = 7  # 2^21 labeled graphs; beyond this use sampling
 
@@ -72,11 +72,12 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 def enumerate_labeled(n: int) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order.
 
-    An order above the cap is rejected at the call, not at the first draw.
+    An order outside 1..cap is rejected at the call, not at the first draw.
     """
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration capped at order {ENUMERATION_CAP}; use sample_random")
+    _check_graph_order(n)
     return (graph_from_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
 
 
@@ -241,12 +242,12 @@ def validate(criterion: CriterionId, orders: Iterable[int],
     property; a graph that lacks it is recorded by its graph6 string as a
     violation.  Boundary statuses are counted, never treated as violations.
     `threshold_shift` is the fault-injection hook (see apply_criterion).
-    Every order is checked against the criterion's minimum before the
-    first graph is built.
+    The shift, and every order against the criterion's minimum, are checked
+    before the first graph is built.
     """
     orders = tuple(orders)
     for n in orders:
-        _check_order(criterion, n)
+        _check_args(criterion, n, threshold_shift)
 
     def check(g):
         verdict = apply_criterion(g, criterion, threshold_shift=threshold_shift)

@@ -2,8 +2,8 @@
 
 mu(G) is the largest adjacency eigenvalue, gamma(G) the largest eigenvalue
 of the signless Laplacian D(G) + A(G).  Bounds are normalized to the form
-lhs <= rhs, so slack = rhs - lhs and a bound holds iff slack >= -1e-9, or
-slack >= 0 when both sides are exact rationals.
+lhs <= rhs, so slack = rhs - lhs.  `_sign` decides every bound flag here
+and every verdict in `certify`: it is the one tie rule.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from ._report import Report
 from .graph import Graph, degree_data
 from . import recognizers
 
-TOLERANCE = 1e-9      # bound comparisons
-EQUALITY_TOL = 1e-8   # equality detection on float-valued bounds
+TOLERANCE = 1e-9  # the zero band of a float difference
 
 BOUND_IDS = (
     "mu_edge_upper",       # mu <= -1/2 + sqrt(2m + 1/4)
@@ -30,6 +29,11 @@ BOUND_IDS = (
     "gamma_ratio_lower",   # Z/e <= gamma                    (needs e > 0)
     "gamma_two_mu_lower",  # 2*mu <= gamma
 )
+
+
+def _sign(x) -> int:
+    """-1, 0 or 1; exact for an int or Fraction, 0 for a float within TOLERANCE."""
+    return 0 if isinstance(x, float) and abs(x) <= TOLERANCE else (x > 0) - (x < 0)
 
 
 def symmetric_eigen_max(matrix) -> float:
@@ -116,10 +120,8 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
 
     Skipped for lack of definition: the two mean bounds at n = 1 (their
     right-hand sides divide by n - 1) and the degree-ratio bound when
-    e(G) = 0.  A bound whose two sides are exact rationals (today the
-    degree-mean bound) is compared exactly, so its flags carry no
-    tolerance; the others hold within TOLERANCE and are equalities within
-    EQUALITY_TOL.
+    e(G) = 0.  A bound holds when `_sign(slack) >= 0` and is an equality
+    when `_sign(slack) == 0`; the degree-mean bound's slack is exact.
     """
     s = summary or spectral_summary(g)
     n, m = g.n, s.edge_count
@@ -148,10 +150,7 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
             continue
         lhs, rhs, expected = sides[bound]
         slack = rhs - lhs
-        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-            holds, equality = slack >= 0, slack == 0
-        else:
-            holds, equality = slack >= -TOLERANCE, abs(slack) <= EQUALITY_TOL
+        side = _sign(slack)
         out.append(BoundReport(bound, float(lhs), float(rhs), float(slack),
-                               holds, equality, expected))
+                               side >= 0, side == 0, expected))
     return out

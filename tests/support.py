@@ -14,7 +14,10 @@ from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
-from hamspec import Graph, from_edges
+from hamspec import (
+    Graph, balanced_bipartite_minus_matching, circulant, clique_plus_isolated,
+    clique_plus_pendant, clique_plus_two_edges, complete, complete_bipartite, cycle,
+    from_edges, join_of_two_cliques, path, regular_join_clique, star)
 
 
 def inertia(matrix, x: Fraction) -> tuple[int, int, int]:
@@ -292,10 +295,6 @@ def structured_family_graphs() -> list[Graph]:
     of two cliques to an edge, the regular parts joined to a clique and the
     balanced bipartite graphs less a perfect matching.  Each parameter is
     taken at its ends and next to them, so the corpus stays small."""
-    from hamspec import (
-        balanced_bipartite_minus_matching, circulant, clique_plus_isolated,
-        clique_plus_pendant, clique_plus_two_edges, complete, complete_bipartite,
-        cycle, join_of_two_cliques, path, regular_join_clique, star)
 
     def ends(lo, hi):
         return sorted({lo, lo + 1, hi - 1, hi} & set(range(lo, hi + 1)))

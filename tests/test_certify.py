@@ -134,6 +134,13 @@ def test_strict_criterion_boundary_band():
     assert v.exception is None
 
 
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_shift_is_rejected(shift):
+    # a NaN margin would read as a tie; an infinite one ignores the radius
+    with pytest.raises(ValueError, match="finite"):
+        apply_criterion(complete(6), T31, threshold_shift=shift)
+
+
 def test_threshold_shift_hook_direction():
     g = clique_plus_isolated(6)  # gamma = 8, T33 threshold 8.4
     assert apply_criterion(g, T33).status is CriterionStatus.NOT_SATISFIED

@@ -77,6 +77,10 @@ def test_generate_missing_parameter(capsys):
     (["analyze", "--g6", "C~", "--n", "5"], "--n needs --family"),
     (["closure", "--g6", "C~", "--k", "3", "--connections", "1,x"],
      "--connections needs --family"),
+    (["validate", "--criterion", "T42", "--orders", "5", "--threshold-shift", "nan"],
+     "--threshold-shift must be finite"),
+    (["validate", "--criterion", "T42", "--orders", "5", "--threshold-shift", "inf"],
+     "--threshold-shift must be finite"),
 ])
 def test_bad_flag_values_are_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

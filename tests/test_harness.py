@@ -36,6 +36,8 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_labeled(5)) == 1024
     with pytest.raises(CapacityError):
         next(enumerate_labeled(8))
+    with pytest.raises(ValueError, match="order must be in 1..62"):
+        enumerate_labeled(0)  # at the call, not at the first draw
 
 
 def test_enumeration_order_is_edge_mask_order():
@@ -142,6 +144,13 @@ def test_corrupted_threshold_is_detected():
     assert len(rep.violations) > 0
     assert not rep.passed
     assert rep.violations == tuple(sorted(rep.violations))
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf])
+def test_validate_rejects_a_non_finite_shift_before_any_graph(monkeypatch, shift):
+    monkeypatch.setattr(harness, "graph_from_edge_mask", _no_graph)
+    with pytest.raises(ValueError, match="finite"):
+        validate(T42, [5], threshold_shift=shift)
 
 
 def test_validate_rejects_oversize_orders():

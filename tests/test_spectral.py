@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from hamspec import (
     star,
     symmetric_eigen_max,
 )
+from hamspec.spectral import _sign
 
 from support import (
     adjacency_int_matrix,
@@ -285,3 +287,11 @@ def test_bound_flags_pinned_on_structured_families():
     counts = Counter((r.bound, r.holds, r.equality)
                      for g in structured_family_graphs() for r in bound_suite(g))
     assert counts == _FAMILY_FLAG_COUNTS
+
+
+@pytest.mark.parametrize("x,side", [
+    (Fraction(1, 10**12), 1), (Fraction(-1, 10**12), -1), (Fraction(0), 0), (0, 0), (-3, -1),
+    (1e-9, 0), (-1e-9, 0), (1.1e-9, 1), (-1.1e-9, -1), (0.0, 0), (-0.0, 0),
+])
+def test_sign_is_exact_for_rationals_and_bands_floats(x, side):
+    assert _sign(x) == side
