@@ -8,8 +8,10 @@ import pytest
 from hamspec import (
     CriterionId,
     CriterionStatus,
+    CriterionVerdict,
     FamilyTag,
     Graph,
+    HamiltonProfile,
     Prediction,
     adjacency_spectral_radius,
     apply_criterion,
@@ -342,6 +344,39 @@ def test_verdict_is_sound_gate():
     v = apply_criterion(c5, T31)
     assert v.predicted is Prediction.NO_PREDICTION
     assert verdict_is_sound(c5, v, hamilton_profile(c5))
+
+
+# predicted property -> the profile field that must confirm it
+_CONFIRMING_FIELD = {
+    Prediction.HAMILTONIAN_PATH: "has_path",
+    Prediction.HAMILTONIAN_CYCLE: "has_cycle",
+    Prediction.HAMILTON_CONNECTED: "hamilton_connected",
+}
+
+
+@pytest.mark.parametrize("predicted", list(_CONFIRMING_FIELD), ids=lambda p: p.value)
+def test_verdict_is_sound_needs_the_predicted_property(predicted):
+    """A claim fails against a profile lacking only its own property, and
+    passes once an exception is named or the profile has every property."""
+    g = complete(5)
+    full = dict(has_path=True, has_cycle=True, hamilton_connected=True,
+                witness_path=None, failing_pair=None)
+    lacking = HamiltonProfile(**{**full, _CONFIRMING_FIELD[predicted]: False})
+
+    def verdict(exception):
+        return CriterionVerdict(T42, 4.0, 3.0, CriterionStatus.SATISFIED, predicted, exception)
+
+    assert not verdict_is_sound(g, verdict(None), lacking)
+    assert verdict_is_sound(g, verdict(None), HamiltonProfile(**full))
+    for tag in FamilyTag:
+        assert verdict_is_sound(g, verdict(tag), lacking)
+    for other, field in _CONFIRMING_FIELD.items():
+        if other is not predicted:
+            assert verdict_is_sound(g, verdict(None), HamiltonProfile(**{**full, field: False}))
+    nothing = HamiltonProfile(False, False, False, None, (0, 1))
+    no_claim = CriterionVerdict(T42, 2.0, 3.0, CriterionStatus.NOT_SATISFIED,
+                                Prediction.NO_PREDICTION, None)
+    assert verdict_is_sound(g, no_claim, nothing)
 
 
 def test_t32_proof_chain_inequality():

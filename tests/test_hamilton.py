@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -147,6 +148,51 @@ def test_edge_count_classification_examples():
     assert c.r == 0 and c.conclusion is EdgeCountConclusion.PATH_UNLESS_CLIQUE_PLUS_ISOLATED
     c = edge_count_classification(with_edges(9))
     assert c.r == -1 and c.conclusion is EdgeCountConclusion.NONE
+
+
+# order -> (r, conclusion) -> labeled graphs; r = e(G) - C(n-1, 2)
+_NONE = "None"
+_PATH = "PathUnlessCliquePlusIsolated"
+_CYCLE = "CycleUnlessCliquePlusPendant"
+_HC = "HamiltonConnectedUnlessCliquePlusTwoEdges"
+_EDGE_COUNT_CLASSES = {
+    1: {(0, _PATH): 1},
+    2: {(0, _PATH): 1, (1, _CYCLE): 1},
+    3: {(-1, _NONE): 1, (0, _PATH): 3, (1, _CYCLE): 3, (2, _HC): 1},
+    4: {(-3, _NONE): 1, (-2, _NONE): 6, (-1, _NONE): 15, (0, _PATH): 20, (1, _CYCLE): 15,
+        (2, _HC): 6, (3, _HC): 1},
+    5: {(-6, _NONE): 1, (-5, _NONE): 10, (-4, _NONE): 45, (-3, _NONE): 120,
+        (-2, _NONE): 210, (-1, _NONE): 252, (0, _PATH): 210, (1, _CYCLE): 120,
+        (2, _HC): 45, (3, _HC): 10, (4, _HC): 1},
+    6: {(-10, _NONE): 1, (-9, _NONE): 15, (-8, _NONE): 105, (-7, _NONE): 455,
+        (-6, _NONE): 1365, (-5, _NONE): 3003, (-4, _NONE): 5005, (-3, _NONE): 6435,
+        (-2, _NONE): 6435, (-1, _NONE): 5005, (0, _PATH): 3003, (1, _CYCLE): 1365,
+        (2, _HC): 455, (3, _HC): 105, (4, _HC): 15, (5, _HC): 1},
+}
+
+# order -> (ore_path, ore_cycle, erdos_gallai_hc) -> labeled graphs
+_DEGREE_SUM_FLAGS = {
+    1: {(True, True, True): 1},
+    2: {(False, False, False): 1, (True, True, True): 1},
+    3: {(False, False, False): 4, (True, False, False): 3, (True, True, True): 1},
+    4: {(False, False, False): 42, (True, False, False): 12, (True, True, False): 9,
+        (True, True, True): 1},
+    5: {(False, False, False): 751, (True, False, False): 187, (True, True, False): 60,
+        (True, True, True): 26},
+    6: {(False, False, False): 27100, (True, False, False): 3690, (True, True, False): 1572,
+        (True, True, True): 406},
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_classifiers_pinned_on_every_labeled_graph(n):
+    edge_classes, flags = Counter(), Counter()
+    for g in enumerate_labeled(n):
+        c = edge_count_classification(g)
+        edge_classes[c.r, c.conclusion.value] += 1
+        flags[_flags(g)] += 1
+    assert edge_classes == _EDGE_COUNT_CLASSES[n]
+    assert flags == _DEGREE_SUM_FLAGS[n]
 
 
 def test_edge_surplus_sweep_order_six():

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import lru_cache
 
 import pytest
 
@@ -8,11 +9,14 @@ from hamspec import (
     CriterionId,
     Lcg,
     ValidationMode,
+    apply_criterion,
     canonical_graph6,
     complete,
     complete_bipartite,
+    criterion_order_minimum,
     cycle,
     enumerate_labeled,
+    hamilton_profile,
     merge_reports,
     parse_graph6,
     random_regular,
@@ -21,6 +25,8 @@ from hamspec import (
     triangle_pairs,
     validate,
     validate_closure_equivalence,
+    verdict_is_sound,
+    write_graph6,
 )
 from hamspec import harness
 from hamspec.harness import admissible_remark_window
@@ -28,6 +34,7 @@ from hamspec.harness import admissible_remark_window
 from support import complete_split, largest_root_bisect
 
 T33 = CriterionId.T33_SignlessHC
+T41 = CriterionId.T41_SignlessPathCycle
 T42 = CriterionId.T42_AdjacencyPathCycle
 
 
@@ -151,6 +158,51 @@ def test_validate_rejects_a_non_finite_shift_before_any_graph(monkeypatch, shift
     monkeypatch.setattr(harness, "graph_from_edge_mask", _no_graph)
     with pytest.raises(ValueError, match="finite"):
         validate(T42, [5], threshold_shift=shift)
+
+
+@lru_cache(maxsize=None)
+def _labeled_profiles(n):
+    return tuple((g, hamilton_profile(g)) for g in enumerate_labeled(n))
+
+
+def _unsound(criterion, n, shift=0.0):
+    """Predicted property -> graph6 strings of the order-n labeled graphs
+    whose verdict `verdict_is_sound` rejects against the full profile."""
+    unsound = {}
+    for g, profile in _labeled_profiles(n):
+        v = apply_criterion(g, criterion, threshold_shift=shift)
+        if not verdict_is_sound(g, v, profile):
+            unsound.setdefault(v.predicted.value, []).append(write_graph6(g))
+    return unsound
+
+
+@pytest.mark.parametrize("criterion", list(CriterionId), ids=lambda c: c.value.split("_")[0])
+def test_validate_violations_are_the_unsound_verdicts(criterion):
+    """`validate`, which runs one early-stopping oracle view per claim, and
+    `verdict_is_sound` over the full profile flag the same graphs."""
+    for n in range(criterion_order_minimum(criterion), 7):
+        unsound = _unsound(criterion, n)
+        assert validate(criterion, [n]).violations == tuple(sorted(
+            v for graphs in unsound.values() for v in graphs)), n
+
+
+# (criterion, order) -> predicted property -> unsound verdicts once the
+# threshold is lowered by one; no unshifted path or cycle claim of T42 fails
+_SHIFTED_UNSOUND = {
+    (T41, 5): {"HamiltonianCycle": 210, "HamiltonianPath": 5},
+    (T41, 6): {"HamiltonianCycle": 1641},
+    (T42, 5): {"HamiltonianCycle": 460, "HamiltonianPath": 40},
+    (T42, 6): {"HamiltonianCycle": 4461, "HamiltonianPath": 90},
+}
+
+
+@pytest.mark.parametrize("criterion, n", list(_SHIFTED_UNSOUND),
+                         ids=lambda x: getattr(x, "value", str(x)).split("_")[0])
+def test_shifted_path_and_cycle_claims_are_caught(criterion, n):
+    unsound = _unsound(criterion, n, shift=-1.0)
+    assert {p: len(graphs) for p, graphs in unsound.items()} == _SHIFTED_UNSOUND[criterion, n]
+    assert validate(criterion, [n], threshold_shift=-1.0).violations == tuple(sorted(
+        v for graphs in unsound.values() for v in graphs))
 
 
 def test_validate_rejects_oversize_orders():

@@ -3,14 +3,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hamspec import (
     BOUND_IDS,
+    adjacency_matrix,
     adjacency_spectral_radius,
     bound_suite,
     circulant,
     clique_plus_isolated,
+    complement,
     complete,
     complete_bipartite,
     cycle,
@@ -33,6 +36,18 @@ from support import (
     signless_int_matrix,
     structured_family_graphs,
 )
+
+
+@pytest.mark.parametrize("corpus", ["labeled orders 1-6", "structured families"])
+def test_adjacency_matrix_matches_the_rows_entry_for_entry(corpus):
+    graphs = (structured_family_graphs() if corpus == "structured families"
+              else [g for n in range(1, 7) for g in enumerate_labeled(n)])
+    for g in graphs:
+        for of_complement in (False, True):
+            a = adjacency_matrix(g, of_complement)
+            assert a.dtype == np.float64
+            expect = adjacency_int_matrix(complement(g) if of_complement else g)
+            assert np.array_equal(a, expect), (g, of_complement)
 
 
 def test_eigen_max_identity():
