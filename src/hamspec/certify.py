@@ -18,7 +18,7 @@ from typing import Callable
 
 from ._report import Report
 from .graph import Graph
-from .hamilton import HamiltonProfile
+from .hamilton import _PROPERTIES, HamiltonProfile, Prediction, _Property
 from .spectral import _sign, adjacency_spectral_radius, signless_spectral_radius
 from . import recognizers
 
@@ -36,13 +36,6 @@ class CriterionStatus(Enum):
     SATISFIED = "Satisfied"
     NOT_SATISFIED = "NotSatisfied"
     BOUNDARY = "Boundary"
-
-
-class Prediction(Enum):
-    HAMILTON_CONNECTED = "HamiltonConnected"
-    HAMILTONIAN_CYCLE = "HamiltonianCycle"
-    HAMILTONIAN_PATH = "HamiltonianPath"
-    NO_PREDICTION = "NoPrediction"
 
 
 class FamilyTag(Enum):
@@ -186,14 +179,15 @@ def apply_criterion(g: Graph, criterion: CriterionId, *,
     return CriterionVerdict(criterion, lhs, threshold, status, Prediction.NO_PREDICTION, None)
 
 
+def _claim(verdict: CriterionVerdict) -> _Property | None:
+    """The row of `hamilton`'s property table the oracle must confirm for the
+    verdict to be sound: none if it names an exception or predicts nothing."""
+    return None if verdict.exception is not None else _PROPERTIES.get(verdict.predicted)
+
+
 def verdict_is_sound(g: Graph, verdict: CriterionVerdict,
                      oracle: HamiltonProfile) -> bool:
     """A verdict is sound when it predicts nothing, names an exception, or
     the exact oracle confirms the predicted property."""
-    if verdict.predicted is Prediction.NO_PREDICTION or verdict.exception is not None:
-        return True
-    if verdict.predicted is Prediction.HAMILTON_CONNECTED:
-        return oracle.hamilton_connected
-    if verdict.predicted is Prediction.HAMILTONIAN_CYCLE:
-        return oracle.has_cycle
-    return oracle.has_path
+    claim = _claim(verdict)
+    return claim is None or getattr(oracle, claim.field)

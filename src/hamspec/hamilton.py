@@ -7,6 +7,10 @@ predicate stops it as soon as its answer is settled: a Hamiltonian path at
 the first start that reaches every vertex, a cycle after start 0,
 Hamilton-connectivity at the first start with a missing endpoint.  The full
 profile runs every start, so its cost does not depend on the answer.
+
+The three properties are the rows of one table, `_PROPERTIES`, keyed by the
+`Prediction` that claims each.  Every pairing of a property with its profile
+field, view, closure, degree-sum threshold or edge surplus reads that table.
 """
 
 from __future__ import annotations
@@ -34,6 +38,31 @@ class HamiltonProfile(Report):
     hamilton_connected: bool
     witness_path: tuple[int, ...] | None
     failing_pair: tuple[int, int] | None
+
+
+class Prediction(Enum):
+    HAMILTON_CONNECTED = "HamiltonConnected"
+    HAMILTONIAN_CYCLE = "HamiltonianCycle"
+    HAMILTONIAN_PATH = "HamiltonianPath"
+    NO_PREDICTION = "NoPrediction"
+
+
+@dataclass(frozen=True)
+class _Property:
+    field: str    # the HamiltonProfile field that holds it
+    view: str     # the public function that decides it alone
+    # k - n for the Bondy-Chvatal k-closure that preserves it, so a degree
+    # sum of n + offset forces it, as does an edge surplus of offset + 1
+    offset: int
+
+
+# weakest first, as are DegreeSumCheck's flags and the EdgeCountConclusion
+# members after NONE; NO_PREDICTION claims nothing and has no row
+_PROPERTIES = {
+    Prediction.HAMILTONIAN_PATH: _Property("has_path", "has_hamiltonian_path", -1),
+    Prediction.HAMILTONIAN_CYCLE: _Property("has_cycle", "has_hamiltonian_cycle", 0),
+    Prediction.HAMILTON_CONNECTED: _Property("hamilton_connected", "is_hamilton_connected", 1),
+}
 
 
 def _check_cap(n: int, max_order: int | None) -> None:
@@ -154,9 +183,8 @@ def degree_sum_check(g: Graph) -> DegreeSumCheck:
                 s = degs[u] + degs[v]
                 if lowest is None or s < lowest:
                     lowest = s
-    if lowest is None:
-        return DegreeSumCheck(True, True, True)
-    return DegreeSumCheck(lowest >= n - 1, lowest >= n, lowest >= n + 1)
+    return DegreeSumCheck(*(lowest is None or lowest >= n + prop.offset
+                            for prop in _PROPERTIES.values()))
 
 
 class EdgeCountConclusion(Enum):
@@ -180,12 +208,6 @@ def edge_count_classification(g: Graph) -> EdgeCountClassification:
     (the near-complete family of the matching conclusion name).
     """
     r = g.edge_count - comb(g.n - 1, 2)
-    if r >= 2:
-        c = EdgeCountConclusion.HC_UNLESS_CLIQUE_PLUS_TWO_EDGES
-    elif r == 1:
-        c = EdgeCountConclusion.CYCLE_UNLESS_CLIQUE_PLUS_PENDANT
-    elif r == 0:
-        c = EdgeCountConclusion.PATH_UNLESS_CLIQUE_PLUS_ISOLATED
-    else:
-        c = EdgeCountConclusion.NONE
-    return EdgeCountClassification(r, c)
+    # the surpluses rise with the rows, so the rows r reaches are a prefix
+    reached = sum(r >= prop.offset + 1 for prop in _PROPERTIES.values())
+    return EdgeCountClassification(r, tuple(EdgeCountConclusion)[reached])

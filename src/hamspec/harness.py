@@ -22,14 +22,16 @@ from .graph6 import write_graph6
 from .families import remark_family
 from .closure import k_closure
 from .hamilton import (
+    _PROPERTIES,
     CapacityError,
     DEFAULT_ORACLE_CAP,
     _check_cap,
+    _Property,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
     is_hamilton_connected,
 )
-from .certify import CriterionId, CriterionStatus, Prediction, _check_args, apply_criterion
+from .certify import CriterionId, CriterionStatus, Prediction, _check_args, _claim, apply_criterion
 
 ENUMERATION_CAP = 7  # 2^21 labeled graphs; beyond this use sampling
 
@@ -167,22 +169,10 @@ def merge_reports(reports: Sequence[ValidationReport]) -> ValidationReport:
 
 
 @lru_cache(maxsize=3 << 17)
-def _oracle(g: Graph, k: int) -> bool:
-    """The property the k-closure preserves: k = n-1 a Hamiltonian path,
-    k = n a Hamiltonian cycle, k = n+1 Hamilton-connectivity."""
-    if k == g.n - 1:
-        return has_hamiltonian_path(g)
-    if k == g.n:
-        return has_hamiltonian_cycle(g)
-    return is_hamilton_connected(g)
-
-
-# the closure order k - n whose property each prediction claims
-_CLOSURE_OFFSET = {
-    Prediction.HAMILTONIAN_PATH: -1,
-    Prediction.HAMILTONIAN_CYCLE: 0,
-    Prediction.HAMILTON_CONNECTED: 1,
-}
+def _oracle(g: Graph, prop: _Property) -> bool:
+    """Whether g has the property of a row of `hamilton`'s table.  The row's view
+    is read from this module at call time, so a wrapper on it sees every call."""
+    return globals()[prop.view](g)
 
 
 def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
@@ -251,9 +241,8 @@ def validate(criterion: CriterionId, orders: Iterable[int],
 
     def check(g):
         verdict = apply_criterion(g, criterion, threshold_shift=threshold_shift)
-        if verdict.predicted is Prediction.NO_PREDICTION or verdict.exception is not None:
-            return verdict, True
-        return verdict, _oracle(g, g.n + _CLOSURE_OFFSET[verdict.predicted])
+        claim = _claim(verdict)
+        return verdict, claim is None or _oracle(g, claim)
 
     return _sweep(criterion.value, orders, mode, samples, p, seed, check)
 
@@ -269,8 +258,8 @@ def validate_closure_equivalence(orders: Iterable[int],
     both directions.
     """
     def check(g):
-        return None, all(_oracle(g, k) == _oracle(k_closure(g, k).graph, k)
-                         for k in (g.n - 1, g.n, g.n + 1))
+        return None, all(_oracle(g, prop) == _oracle(k_closure(g, g.n + prop.offset).graph, prop)
+                         for prop in _PROPERTIES.values())
 
     return _sweep("ClosureEquivalence", orders, mode, samples, p, seed, check)
 

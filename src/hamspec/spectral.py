@@ -55,15 +55,9 @@ def symmetric_eigen_max(matrix) -> float:
 def adjacency_matrix(g: Graph, of_complement: bool = False) -> np.ndarray:
     """A(G), or with `of_complement` A of the complement, read from G's rows."""
     full = (1 << g.n) - 1
-    a = np.zeros((g.n, g.n))
-    for v, row in enumerate(g.rows):
-        m = full ^ row ^ (1 << v) if of_complement else row
-        # an inline low-bit loop, not _bits: every eigensolve builds a matrix here
-        while m:
-            b = m & -m
-            m -= b
-            a[v, b.bit_length() - 1] = 1.0
-    return a
+    rows = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)] if of_complement else g.rows
+    row_bytes = np.array(rows, dtype="<u8").view(np.uint8).reshape(g.n, 8)
+    return np.unpackbits(row_bytes, axis=1, count=g.n, bitorder="little").astype(np.float64)
 
 
 def signless_laplacian_matrix(g: Graph, of_complement: bool = False) -> np.ndarray:
