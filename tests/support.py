@@ -314,3 +314,77 @@ def structured_family_graphs() -> list[Graph]:
             graphs += [regular_join_clique(n, r) for r in ends(1, n // 2)
                        if (n - r) * (n // 2 - r) % 2 == 0]
     return graphs
+
+
+def _clique(vertices) -> list[tuple[int, int]]:
+    vertices = list(vertices)
+    return [(u, v) for i, v in enumerate(vertices) for u in vertices[:i]]
+
+
+def _between(left, right) -> list[tuple[int, int]]:
+    return [(u, v) for u in left for v in right]
+
+
+def _offset_pairs(n: int, offsets) -> list[tuple[int, int]]:
+    """Pairs whose circular distance on 0..n-1 is one of the offsets."""
+    dist = {min(c % n, -c % n) for c in offsets}
+    return [(u, v) for v in range(n) for u in range(v) if min(v - u, n - v + u) in dist]
+
+
+def _regular_join_clique_edges(n: int, r: int) -> list[tuple[int, int]]:
+    m, d = n - r, n // 2 - r
+    offsets = [*range(1, d // 2 + 1), *([m // 2] if d % 2 else [])]
+    return _offset_pairs(m, offsets) + _clique(range(m, n)) + _between(range(m), range(m, n))
+
+
+# family kind -> the documented labeling as an edge list, written pair by
+# pair and never through the library's joins, unions or complements
+FAMILY_EDGES = {
+    "complete": lambda n: _clique(range(n)),
+    "complete-bipartite": lambda a, b: _between(range(a), range(a, a + b)),
+    "star": lambda n: _between([0], range(1, n)),
+    "cycle": lambda n: _offset_pairs(n, [1]),
+    "path": lambda n: [(v, v + 1) for v in range(n - 1)],
+    "clique-plus-isolated": lambda n: _clique(range(n - 1)),
+    "clique-plus-pendant": lambda n: _clique(range(n - 1)) + [(0, n - 1)],
+    "clique-plus-two-edges": lambda n: _clique(range(n - 1)) + [(0, n - 1), (1, n - 1)],
+    "join-of-two-cliques": lambda n, s: (
+        _clique(range(s)) + _clique(range(s, n - 2)) + _clique([n - 2, n - 1])
+        + _between(range(n - 2), [n - 2, n - 1])),
+    "balanced-bipartite-minus-matching": lambda n: [
+        (i, n // 2 + j) for i in range(n // 2) for j in range(n // 2) if i != j],
+    "regular-join-clique": _regular_join_clique_edges,
+    "remark-family": lambda r, s: (
+        _clique(range(r)) + _clique(range(r, 2 * r)) + _clique(range(2 * r, 2 * r + s))
+        + _between(range(2 * r), range(2 * r, 2 * r + s))),
+    "circulant": _offset_pairs,
+}
+
+
+def family_parameters(max_order: int = 62):
+    """Every valid parameter tuple of every family up to `max_order`, except
+    circulant's connections, which run over the single offsets and the
+    ranges 1..k."""
+    for n in range(1, max_order + 1):
+        yield "complete", (n,)
+        yield "star", (n,)
+        yield "path", (n,)
+        for kind, minimum in (("cycle", 3), ("clique-plus-isolated", 2),
+                              ("clique-plus-pendant", 2), ("clique-plus-two-edges", 3)):
+            if n >= minimum:
+                yield kind, (n,)
+        for a in range(1, n):
+            yield "complete-bipartite", (a, n - a)
+        for s in range(1, n - 2):
+            yield "join-of-two-cliques", (n, s)
+        if n % 2 == 0:
+            yield "balanced-bipartite-minus-matching", (n,)
+            for r in range(1, n // 2 + 1):
+                if (n - r) * (n // 2 - r) % 2 == 0:
+                    yield "regular-join-clique", (n, r)
+        for r in range(2, (n - 1) // 2 + 1):
+            yield "remark-family", (r, n - 2 * r)
+        for c in range(1, n):
+            yield "circulant", (n, (c,))
+        for k in range(n // 2 + 1):
+            yield "circulant", (n, tuple(range(1, k + 1)))
