@@ -2,6 +2,10 @@
 
 Labeling is deterministic so tests can assert exact edge sets: clique or
 regular blocks come first, joined blocks last.
+
+Every family is built from the graph primitives and writes no row: K_n is
+the complement of the empty graph, K_{a,b} that of K_a + K_b, the joined
+families are `join`s, and the rest are edge lists.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ import inspect
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, _check_order as _check_graph_order, from_edges, join, disjoint_union
+from .graph import (
+    Graph, _check_order as _check_graph_order, complement, disjoint_union, from_edges, join)
 
 
 @dataclass(frozen=True)
@@ -54,25 +59,20 @@ def _check_order(n: int, minimum: int, what: str) -> None:
 
 def complete(n: int) -> Graph:
     _check_order(n, 1, "complete graph")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return complement(from_edges(n, ()))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"both parts must be nonempty, got ({a}, {b})")
     _check_order(a + b, 2, "complete bipartite graph")
-    left = (1 << a) - 1
-    right = ((1 << (a + b)) - 1) ^ left
-    return Graph(a + b, tuple([right] * a + [left] * b))
+    return complement(disjoint_union(complete(a), complete(b)))
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
     _check_order(n, 1, "star")
-    if n == 1:
-        return Graph(1, (0,))
-    return complete_bipartite(1, n - 1)
+    return complete(1) if n == 1 else complete_bipartite(1, n - 1)
 
 
 def cycle(n: int) -> Graph:
@@ -103,11 +103,8 @@ def clique_plus_two_edges(n: int) -> Graph:
 def _clique_plus_vertex(n: int, a: int, what: str) -> Graph:
     """Complete graph on 0..n-2 with vertex n-1 joined to vertices 0..a-1."""
     _check_order(n, max(2, a + 1), what)
-    clique = (1 << (n - 1)) - 1
-    rows = [clique ^ (1 << v) for v in range(n - 1)] + [(1 << a) - 1]
-    for v in range(a):
-        rows[v] |= 1 << (n - 1)
-    return Graph(n, tuple(rows))
+    clique = [(u, v) for v in range(n - 1) for u in range(v)]
+    return from_edges(n, clique + [(u, n - 1) for u in range(a)])
 
 
 def join_of_two_cliques(n: int, s: int) -> Graph:
@@ -134,12 +131,7 @@ def balanced_bipartite_minus_matching(n: int) -> Graph:
         raise ValueError(f"order must be even, got {n}")
     _check_order(n, 2, "balanced bipartite minus matching")
     h = n // 2
-    g = complete_bipartite(h, h)
-    rows = list(g.rows)
-    for i in range(h):
-        rows[i] &= ~(1 << (h + i))
-        rows[h + i] &= ~(1 << i)
-    return Graph(n, tuple(rows))
+    return from_edges(n, [(i, h + j) for i in range(h) for j in range(h) if i != j])
 
 
 def regular_join_clique(n: int, r: int) -> Graph:
@@ -158,17 +150,10 @@ def regular_join_clique(n: int, r: int) -> Graph:
     if (m * d) % 2:
         raise ValueError(f"no {d}-regular graph on {m} vertices exists (odd product)")
     _check_order(n, 2, "regular part joined to clique")
-    return join(_circulant_regular(m, d), complete(r))
-
-
-def _circulant_regular(m: int, d: int) -> Graph:
-    """Circulant realization of a d-regular graph on m vertices."""
-    if d >= m:
-        raise ValueError(f"degree {d} impossible on {m} vertices")
     conns = list(range(1, d // 2 + 1))
     if d % 2:
         conns.append(m // 2)  # antipodal generator; m is even here by parity
-    return circulant(m, conns)
+    return join(circulant(m, conns), complete(r))
 
 
 def remark_family(r: int, s: int) -> Graph:

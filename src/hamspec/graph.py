@@ -8,6 +8,10 @@ This module owns the one packing of the rows into a single integer: the
 edge mask, whose bit j(j-1)/2 + i is the pair (i, j), i < j.  Corpora are
 enumerated and sampled as edge masks, graph6 streams are edge masks, and a
 row tuple is valid exactly when it is the decoding of its own edge mask.
+
+Rows are written only by the edge-mask decoder, `from_edges`, `complement`,
+`disjoint_union` and `closure.k_closure`, which adds one edge at a time;
+`join`, `Graph.relabel` and the named families are built from the first four.
 """
 
 from __future__ import annotations
@@ -84,14 +88,10 @@ class Graph:
         return len(self.components()) == 1
 
     def relabel(self, perm: Sequence[int]) -> Graph:
-        """Image of the graph under the vertex map v -> perm[v]."""
-        rows = [0] * self.n
-        for v, row in enumerate(self.rows):
-            r = 0
-            for u in _bits(row):
-                r |= 1 << perm[u]
-            rows[perm[v]] = r
-        return Graph(self.n, tuple(rows))
+        """Image of the graph under the vertex permutation v -> perm[v]."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"expected a permutation of 0..{self.n - 1}, got {list(perm)}")
+        return from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges()))
 
 
 def _bits(mask: int) -> list[int]:
@@ -160,12 +160,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
-    n = g1.n + g2.n
-    left = (1 << g1.n) - 1
-    right = ((1 << n) - 1) ^ left
-    rows = [row | right for row in g1.rows]
-    rows += [(row << g1.n) | left for row in g2.rows]
-    return Graph(n, tuple(rows))
+    return complement(disjoint_union(complement(g1), complement(g2)))
 
 
 def degree_data(g: Graph) -> tuple[list[int], list[Fraction]]:

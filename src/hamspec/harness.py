@@ -17,7 +17,7 @@ from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from ._report import Report
-from .graph import Graph, _check_order as _check_graph_order, _rows_from_edge_mask
+from .graph import Graph, _check_order as _check_graph_order, _rows_from_edge_mask, from_edges
 from .graph6 import write_graph6
 from .families import remark_family
 from .closure import k_closure
@@ -113,17 +113,10 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
     while True:
         stubs = [v for v in range(n) for _ in range(degree)]
         rng.shuffle(stubs)
-        rows = [0] * n
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or rows[u] >> v & 1:
-                ok = False
-                break
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        if ok:
-            return Graph(n, tuple(rows))
+        pairs = set(map(frozenset, zip(stubs[::2], stubs[1::2])))
+        # simple exactly when no pair is a loop and no two pairs coincide
+        if sum(len(p) == 2 for p in pairs) == n * degree // 2:
+            return from_edges(n, pairs)
 
 
 class ValidationMode(Enum):

@@ -39,16 +39,17 @@ def _sign(x) -> int:
 def symmetric_eigen_max(matrix) -> float:
     """Largest eigenvalue of a real symmetric matrix.
 
-    Input symmetry is enforced to 1e-12.  Backed by LAPACK's symmetric
-    solver, which is deterministic across runs for identical input.
+    Input symmetry is enforced to 1e-12; a NaN or infinite entry fails that
+    test too, as its difference with the transposed entry is not finite.
+    Backed by LAPACK's symmetric solver, deterministic for identical input.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
-    if np.abs(a - a.T).max() > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
+    if not np.abs(a - a.T).max() <= 1e-12:
+        raise ValueError("matrix is not finite and symmetric within 1e-12")
     return float(np.linalg.eigvalsh(a)[-1])
 
 

@@ -187,3 +187,17 @@ def test_relabel_roundtrip():
     for v, p in enumerate(perm):
         inverse[p] = v
     assert g.relabel(perm).relabel(inverse) == g
+
+
+@pytest.mark.parametrize("g,perm", [
+    (cycle(4), [0, 1, 0, 1]),    # merged vertices: the image had one edge
+    (cycle(4), [0, 1, 2, 2]),
+    (cycle(4), [1, 2, 3, 4]),    # a value outside 0..n-1
+    (cycle(4), [0, 1, 2, -1]),
+    (star(3), [0, 1, 2, 3]),     # longer than the order: was accepted
+    (star(3), [0, 1]),           # shorter: was an IndexError
+    (star(3), []),
+])
+def test_relabel_rejects_a_map_that_is_not_a_permutation(g, perm):
+    with pytest.raises(ValueError, match=r"^expected a permutation of 0\.\."):
+        g.relabel(perm)

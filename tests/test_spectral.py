@@ -70,6 +70,20 @@ def test_eigen_max_rejects_bad_input():
         symmetric_eigen_max([[0, 1, 0], [1, 0, 0]])
 
 
+@pytest.mark.parametrize("matrix", [
+    [[math.nan, 5], [0, 0]],          # asymmetric: the NaN hid the asymmetry
+    [[math.nan, 0], [0, 0]],          # symmetric NaN on the diagonal
+    [[0, math.nan], [math.nan, 0]],   # symmetric NaN off the diagonal
+    [[math.inf, 0], [0, 0]],
+    [[0, math.inf], [math.inf, 0]],
+    [[0, -math.inf], [-math.inf, 0]],
+])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_eigen_max_rejects_non_finite_input(matrix):
+    with pytest.raises(ValueError, match="not finite and symmetric"):
+        symmetric_eigen_max(matrix)
+
+
 def test_eigen_against_bisection_oracle_exhaustive():
     """Exhaustive cross-check of the solver against exact inertia bisection."""
     for n in range(1, 6):
