@@ -361,11 +361,11 @@ FAMILY_EDGES = {
 }
 
 
-def family_parameters(max_order: int = 62):
-    """Every valid parameter tuple of every family up to `max_order`, except
+def family_parameters():
+    """Every valid parameter tuple of every family up to order 62, except
     circulant's connections, which run over the single offsets and the
     ranges 1..k."""
-    for n in range(1, max_order + 1):
+    for n in range(1, 63):
         yield "complete", (n,)
         yield "star", (n,)
         yield "path", (n,)
