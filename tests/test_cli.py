@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hamspec import complete, cycle, parse_graph6, write_graph6
-from hamspec.cli import main
+from hamspec.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +184,27 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--g6", "C~", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# each per-graph subcommand takes its own flag: closure a required --k,
+# analyze and oracle an optional --oracle-cap; None means exit code 2
+@pytest.mark.parametrize("argv,parsed", [
+    (["closure", "--g6", "C~"], None),
+    (["closure", "--g6", "C~", "--k", "3", "--oracle-cap", "5"], None),
+    (["analyze", "--g6", "C~", "--k", "3"], None),
+    (["oracle", "--g6", "C~", "--k", "3"], None),
+    (["closure", "--g6", "C~", "--k", "3"], ("k", 3)),
+    (["analyze", "--g6", "C~", "--oracle-cap", "5"], ("oracle_cap", 5)),
+    (["oracle", "--g6", "C~", "--oracle-cap", "5"], ("oracle_cap", 5)),
+])
+def test_per_graph_subcommands_parse_their_own_flags(capsys, argv, parsed):
+    if parsed is None:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+    else:
+        dest, value = parsed
+        assert getattr(build_parser().parse_args(argv), dest) == value
 
 
 def test_file_input_and_output_roundtrip(tmp_path, capsys):
