@@ -80,12 +80,11 @@ class _Tier:
 
 @dataclass(frozen=True)
 class _Criterion:
-    """Fires when the radius of g (or of its complement) is above (or below)
-    the order-n threshold."""
+    """Fires when the radius of g exceeds the order-n threshold, or with
+    `of_complement` when the radius of its complement falls below it."""
 
     signless: bool                # gamma, else mu
     of_complement: bool
-    above: bool
     threshold: Callable[[int], float]
     min_order: int
     tiers: tuple[_Tier, ...]      # strongest first
@@ -99,30 +98,30 @@ _PATH_CYCLE = (
 
 _CRITERIA = {
     CriterionId.T31_AdjacencyHC: _Criterion(
-        signless=False, of_complement=False, above=True, min_order=1,
+        signless=False, of_complement=False, min_order=1,
         threshold=lambda n: -0.5 + math.sqrt((n - 1.5) ** 2 + 2),
         tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),)),
     CriterionId.T32_ComplementAdjacencyHC: _Criterion(
-        signless=False, of_complement=True, above=False, min_order=4,
+        signless=False, of_complement=True, min_order=4,
         threshold=lambda n: math.sqrt((n - 2) ** 2 / n),
         tiers=(_Tier(True, 1, _HC, ()),)),
     # the threshold's 2/(n-1) term is undefined at n = 1
     CriterionId.T33_SignlessHC: _Criterion(
-        signless=True, of_complement=False, above=True, min_order=2,
+        signless=True, of_complement=False, min_order=2,
         threshold=lambda n: 2 * (n - 2) + 2 / (n - 1),
         tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),)),
     # the split families void the hypothesis rather than excuse a prediction
     CriterionId.T34_ComplementSignlessHC: _Criterion(
-        signless=True, of_complement=True, above=False, min_order=6,
+        signless=True, of_complement=True, min_order=6,
         threshold=lambda n: float(n - 2),
         tiers=(_Tier(False, 1, _HC, (FamilyTag.JOIN_OF_TWO_CLIQUES,
                                      FamilyTag.BALANCED_COMPLETE_BIPARTITE,
                                      FamilyTag.REGULAR_JOIN_CLIQUE), withdraws=True),)),
     CriterionId.T41_SignlessPathCycle: _Criterion(
-        signless=True, of_complement=False, above=True, min_order=1,
+        signless=True, of_complement=False, min_order=1,
         threshold=lambda n: float(2 * (n - 2)), tiers=_PATH_CYCLE),
     CriterionId.T42_AdjacencyPathCycle: _Criterion(
-        signless=False, of_complement=False, above=True, min_order=1,
+        signless=False, of_complement=False, min_order=1,
         threshold=lambda n: float(n - 2), tiers=_PATH_CYCLE),
 }
 
@@ -167,7 +166,7 @@ def apply_criterion(g: Graph, criterion: CriterionId, *,
     threshold = spec.threshold(g.n) + threshold_shift
     radius = signless_spectral_radius if spec.signless else adjacency_spectral_radius
     lhs = radius(g, spec.of_complement)
-    side = _sign(lhs - threshold if spec.above else threshold - lhs)
+    side = _sign(threshold - lhs if spec.of_complement else lhs - threshold)
     for tier in spec.tiers:
         if g.n >= tier.min_order and (side > 0 if tier.strict else side >= 0):
             exception = next((tag for tag in tier.tags if _RECOGNIZER_BY_TAG[tag](g)), None)

@@ -245,23 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral certificates and exact oracles for Hamiltonian structure.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="spectral summary, bounds, criteria and oracle")
-    _add_input_flags(p)
-    p.add_argument("--oracle-cap", type=int)
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_per_graph, report=_analyze_one)
-
-    p = sub.add_parser("closure", help="degree-sum closure with the added-edge list")
-    _add_input_flags(p)
-    p.add_argument("--k", type=int, required=True)
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_per_graph, report=_closure_one)
-
-    p = sub.add_parser("oracle", help="exact Hamiltonicity answers")
-    _add_input_flags(p)
-    p.add_argument("--oracle-cap", type=int)
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_per_graph, report=_oracle_one)
+    for name, help_text, report, flag, required in (
+            ("analyze", "spectral summary, bounds, criteria and oracle", _analyze_one,
+             "--oracle-cap", False),
+            ("closure", "degree-sum closure with the added-edge list", _closure_one, "--k", True),
+            ("oracle", "exact Hamiltonicity answers", _oracle_one, "--oracle-cap", False)):
+        p = sub.add_parser(name, help=help_text)
+        _add_input_flags(p)
+        p.add_argument(flag, type=int, required=required)
+        _add_io_flags(p)
+        p.set_defaults(func=_cmd_per_graph, report=report)
 
     p = sub.add_parser("generate", help="emit a family member as graph6")
     p.add_argument("--family", choices=sorted(FAMILY_PARAMS), required=True)

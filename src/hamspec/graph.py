@@ -12,6 +12,7 @@ row tuple is valid exactly when it is the decoding of its own edge mask.
 Rows are written only by the edge-mask decoder, `from_edges`, `complement`,
 `disjoint_union` and `closure.k_closure`, which adds one edge at a time;
 `join`, `Graph.relabel` and the named families are built from the first four.
+`_complement_rows` is the one complement-row rule; a universal vertex's is 0.
 """
 
 from __future__ import annotations
@@ -147,9 +148,13 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def complement(g: Graph) -> Graph:
+def _complement_rows(g: Graph) -> tuple[int, ...]:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.rows)))
+    return tuple([full ^ row ^ (1 << v) for v, row in enumerate(g.rows)])
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, _complement_rows(g))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, inf
 from typing import Callable
 
 from ._report import Report
-from .graph import Graph
+from .graph import Graph, complement
 
 DEFAULT_ORACLE_CAP = 20
 HARD_ORACLE_CAP = 24  # the 2^n endpoint table is the binding memory constraint
@@ -174,17 +174,9 @@ def degree_sum_check(g: Graph) -> DegreeSumCheck:
 
     All flags are vacuously true on complete graphs.
     """
-    n = g.n
     degs = g.degrees()
-    lowest = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.rows[u] >> v & 1:
-                s = degs[u] + degs[v]
-                if lowest is None or s < lowest:
-                    lowest = s
-    return DegreeSumCheck(*(lowest is None or lowest >= n + prop.offset
-                            for prop in _PROPERTIES.values()))
+    lowest = min((degs[u] + degs[v] for u, v in complement(g).edges()), default=inf)
+    return DegreeSumCheck(*(lowest >= g.n + prop.offset for prop in _PROPERTIES.values()))
 
 
 class EdgeCountConclusion(Enum):

@@ -15,7 +15,7 @@ component by two independent degree classes.
 
 from __future__ import annotations
 
-from .graph import Graph, _bits
+from .graph import Graph, _bits, _complement_rows
 
 
 def is_complete(g: Graph) -> bool:
@@ -30,8 +30,7 @@ def is_star(g: Graph) -> bool:
 
 
 def universal_vertices(g: Graph) -> list[int]:
-    full = (1 << g.n) - 1
-    return [v for v, row in enumerate(g.rows) if row == full ^ (1 << v)]
+    return [v for v, row in enumerate(_complement_rows(g)) if not row]
 
 
 def is_complete_plus_isolated(g: Graph) -> bool:

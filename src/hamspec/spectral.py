@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._report import Report
-from .graph import Graph, degree_data
+from .graph import Graph, _complement_rows, degree_data
 from . import recognizers
 
 TOLERANCE = 1e-9  # the zero band of a float difference
@@ -36,11 +36,13 @@ def _sign(x) -> int:
     return 0 if isinstance(x, float) and abs(x) <= TOLERANCE else (x > 0) - (x < 0)
 
 
+@np.errstate(invalid="ignore")
 def symmetric_eigen_max(matrix) -> float:
     """Largest eigenvalue of a real symmetric matrix.
 
     Input symmetry is enforced to 1e-12; a NaN or infinite entry fails that
-    test too, as its difference with the transposed entry is not finite.
+    test too, its difference with the transposed entry being NaN or infinite
+    (inf - inf is NaN, so numpy's invalid-value warning is off here).
     Backed by LAPACK's symmetric solver, deterministic for identical input.
     """
     a = np.asarray(matrix, dtype=float)
@@ -55,8 +57,7 @@ def symmetric_eigen_max(matrix) -> float:
 
 def adjacency_matrix(g: Graph, of_complement: bool = False) -> np.ndarray:
     """A(G), or with `of_complement` A of the complement, read from G's rows."""
-    full = (1 << g.n) - 1
-    rows = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)] if of_complement else g.rows
+    rows = _complement_rows(g) if of_complement else g.rows
     row_bytes = np.array(rows, dtype="<u8").view(np.uint8).reshape(g.n, 8)
     return np.unpackbits(row_bytes, axis=1, count=g.n, bitorder="little").astype(np.float64)
 

@@ -78,7 +78,6 @@ def test_eigen_max_rejects_bad_input():
     [[0, math.inf], [math.inf, 0]],
     [[0, -math.inf], [-math.inf, 0]],
 ])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_eigen_max_rejects_non_finite_input(matrix):
     with pytest.raises(ValueError, match="not finite and symmetric"):
         symmetric_eigen_max(matrix)
