@@ -88,6 +88,10 @@ class _Criterion:
     threshold: Callable[[int], float]
     min_order: int
     tiers: tuple[_Tier, ...]      # strongest first
+    # fewest edges at which it can fire: with fewer, a bound on the radius in n
+    # and m alone (Stanley 1987 for mu, Feng and Yu 2009 for gamma, the average
+    # degree for a complement's) keeps it off; C(n-1, 2) + r means edge surplus r
+    min_edges: Callable[[int], int]
 
 
 _HC = Prediction.HAMILTON_CONNECTED
@@ -100,29 +104,36 @@ _CRITERIA = {
     CriterionId.T31_AdjacencyHC: _Criterion(
         signless=False, of_complement=False, min_order=1,
         threshold=lambda n: -0.5 + math.sqrt((n - 1.5) ** 2 + 2),
-        tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),)),
+        tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),),
+        min_edges=lambda n: math.comb(n - 1, 2) + 1),  # mu <= -1/2 + sqrt(2m + 1/4)
     CriterionId.T32_ComplementAdjacencyHC: _Criterion(
         signless=False, of_complement=True, min_order=4,
         threshold=lambda n: math.sqrt((n - 2) ** 2 / n),
-        tiers=(_Tier(True, 1, _HC, ()),)),
+        tiers=(_Tier(True, 1, _HC, ()),),
+        # mu(complement) >= 2m'/n, m' = C(n, 2) - m, fires only if 4m'^2 <= n(n-2)^2
+        min_edges=lambda n: math.comb(n, 2) - math.isqrt(n * (n - 2) ** 2) // 2),
     # the threshold's 2/(n-1) term is undefined at n = 1
     CriterionId.T33_SignlessHC: _Criterion(
         signless=True, of_complement=False, min_order=2,
         threshold=lambda n: 2 * (n - 2) + 2 / (n - 1),
-        tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),)),
+        tiers=(_Tier(True, 1, _HC, (FamilyTag.CLIQUE_PLUS_TWO_EDGES,)),),
+        min_edges=lambda n: math.comb(n - 1, 2) + 1),  # gamma <= 2m/(n-1) + n - 2
     # the split families void the hypothesis rather than excuse a prediction
     CriterionId.T34_ComplementSignlessHC: _Criterion(
         signless=True, of_complement=True, min_order=6,
         threshold=lambda n: float(n - 2),
         tiers=(_Tier(False, 1, _HC, (FamilyTag.JOIN_OF_TWO_CLIQUES,
                                      FamilyTag.BALANCED_COMPLETE_BIPARTITE,
-                                     FamilyTag.REGULAR_JOIN_CLIQUE), withdraws=True),)),
+                                     FamilyTag.REGULAR_JOIN_CLIQUE), withdraws=True),),
+        min_edges=lambda n: math.comb(n, 2) - n * (n - 2) // 4),  # gamma(complement) >= 4m'/n
     CriterionId.T41_SignlessPathCycle: _Criterion(
         signless=True, of_complement=False, min_order=1,
-        threshold=lambda n: float(2 * (n - 2)), tiers=_PATH_CYCLE),
+        threshold=lambda n: float(2 * (n - 2)), tiers=_PATH_CYCLE,
+        min_edges=lambda n: math.comb(n - 1, 2)),  # gamma <= 2m/(n-1) + n - 2
     CriterionId.T42_AdjacencyPathCycle: _Criterion(
         signless=False, of_complement=False, min_order=1,
-        threshold=lambda n: float(n - 2), tiers=_PATH_CYCLE),
+        threshold=lambda n: float(n - 2), tiers=_PATH_CYCLE,
+        min_edges=lambda n: math.comb(n - 1, 2)),  # mu <= -1/2 + sqrt(2m + 1/4)
 }
 
 

@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._report import Report
@@ -31,7 +32,8 @@ from .hamilton import (
     has_hamiltonian_path,
     is_hamilton_connected,
 )
-from .certify import CriterionId, CriterionStatus, Prediction, _check_args, _claim, apply_criterion
+from .certify import (
+    _CRITERIA, CriterionId, CriterionStatus, Prediction, _check_args, _claim, apply_criterion)
 
 ENUMERATION_CAP = 7  # 2^21 labeled graphs; beyond this use sampling
 
@@ -71,16 +73,43 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, _rows_from_edge_mask(n, mask))
 
 
+def _check_enumerable(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        raise CapacityError(
+            f"exhaustive enumeration capped at order {ENUMERATION_CAP}; use sample_random")
+    _check_graph_order(n)
+
+
 def enumerate_labeled(n: int) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order.
 
     An order outside 1..cap is rejected at the call, not at the first draw.
     """
-    if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"exhaustive enumeration capped at order {ENUMERATION_CAP}; use sample_random")
-    _check_graph_order(n)
+    _check_enumerable(n)
     return (graph_from_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
+
+
+def _edge_strata(nbits: int, lo: int) -> Iterator[int]:
+    """The nbits-bit masks with at least lo bits set, by popcount, each
+    popcount's masks increasing: Gosper's hack gives the next of equal popcount."""
+    end = 1 << nbits
+    for m in range(lo, nbits + 1):
+        mask = (1 << m) - 1
+        while mask < end:
+            yield mask
+            low = mask & -mask or end  # the empty mask is alone in its stratum
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
+def _random_masks(n: int, p: float, count: int, seed: int) -> Iterator[int]:
+    """Edge masks of `count` G(n, p) draws; the order and p are checked at the call."""
+    _check_graph_order(n)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    rng = Lcg(seed)
+    npairs = n * (n - 1) // 2
+    return (sum(1 << bit for bit in range(npairs) if rng.uniform() < p) for _ in range(count))
 
 
 def sample_random(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
@@ -88,13 +117,7 @@ def sample_random(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
 
     The order and p are rejected at the call, not at the first draw.
     """
-    _check_graph_order(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = Lcg(seed)
-    npairs = n * (n - 1) // 2
-    return (graph_from_edge_mask(n, sum(1 << bit for bit in range(npairs) if rng.uniform() < p))
-            for _ in range(count))
+    return (graph_from_edge_mask(n, mask) for mask in _random_masks(n, p, count, seed))
 
 
 def random_regular(n: int, degree: int, seed: int) -> Graph:
@@ -169,11 +192,13 @@ def _oracle(g: Graph, prop: _Property) -> bool:
 
 
 def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
-           p: float, seed: int, check) -> ValidationReport:
+           p: float, seed: int, check, min_edges=None) -> ValidationReport:
     """Run `check(g) -> (verdict or None, sound)` over the corpus and report.
 
-    Verdicts feed the prediction, exception and boundary counters; an
-    unsound graph is recorded as a graph6 violation.
+    A graph with fewer than `min_edges(n)` edges, if given, counts as checked
+    but is never built or checked; exhaustive mode walks only the edge counts
+    from min_edges(n) up.  Verdicts feed the prediction, exception and
+    boundary counters; an unsound graph is recorded as a graph6 violation.
     """
     orders = tuple(orders)
     if not orders:
@@ -187,19 +212,30 @@ def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
     start = time.perf_counter()
     checked = predictions = exceptions = boundary = 0
     violations = []
-    # a list, so every corpus is set up (and an order over the enumeration
-    # cap rejected) before the first graph is built
-    corpora = [enumerate_labeled(n) if mode is ValidationMode.EXHAUSTIVE_LABELED
-               else sample_random(n, p, samples, seed + i) for i, n in enumerate(orders)]
-    for g in chain.from_iterable(corpora):
-        checked += 1
-        verdict, sound = check(g)
-        if verdict is not None:
-            boundary += verdict.status is CriterionStatus.BOUNDARY
-            predictions += verdict.predicted is not Prediction.NO_PREDICTION
-            exceptions += verdict.exception is not None
-        if not sound:
-            violations.append(write_graph6(g))
+    corpora = []  # all set up, and a bad order or p rejected, before the first graph
+    for i, n in enumerate(orders):
+        lo = min_edges(n) if min_edges else 0
+        if mode is ValidationMode.EXHAUSTIVE_LABELED:  # the strata below lo are counted, not walked
+            _check_enumerable(n)
+            npairs = n * (n - 1) // 2
+            checked += sum(comb(npairs, m) for m in range(lo))
+            masks = _edge_strata(npairs, lo)
+        else:
+            masks = _random_masks(n, p, samples, seed + i)
+        corpora.append((n, lo, masks))
+    for n, lo, masks in corpora:
+        for mask in masks:
+            checked += 1
+            if mask.bit_count() < lo:
+                continue
+            g = graph_from_edge_mask(n, mask)
+            verdict, sound = check(g)
+            if verdict is not None:
+                boundary += verdict.status is CriterionStatus.BOUNDARY
+                predictions += verdict.predicted is not Prediction.NO_PREDICTION
+                exceptions += verdict.exception is not None
+            if not sound:
+                violations.append(write_graph6(g))
     return ValidationReport(
         criterion=name,
         orders=orders,
@@ -219,14 +255,17 @@ def validate(criterion: CriterionId, orders: Iterable[int],
              threshold_shift: float = 0.0) -> ValidationReport:
     """Check one criterion against the exact oracle over a graph corpus.
 
-    Every graph is scored with apply_criterion.  The oracle runs only for a
-    verdict that predicts a property without naming an exception, since no
-    other verdict can be unsound, and it decides only the predicted
-    property; a graph that lacks it is recorded by its graph6 string as a
-    violation.  Boundary statuses are counted, never treated as violations.
-    `threshold_shift` is the fault-injection hook (see apply_criterion).
-    The shift, and every order against the criterion's minimum, are checked
-    before the first graph is built.
+    A graph with fewer edges than its row's `min_edges(n)` is NotSatisfied
+    by that exact rule: it counts as checked but is never built or
+    eigensolved.  Every other graph, and every graph under a nonzero
+    `threshold_shift` (the fault-injection hook, see apply_criterion), is
+    scored with apply_criterion.  The oracle runs only for a verdict that
+    predicts a property without naming an exception, since no other verdict
+    can be unsound, and it decides only the predicted property; a graph that
+    lacks it is recorded by its graph6 string as a violation.  Boundary
+    statuses are counted, never treated as violations.  The shift, and every
+    order against the criterion's minimum, are checked before the first
+    graph is built.
     """
     orders = tuple(orders)
     for n in orders:
@@ -237,7 +276,8 @@ def validate(criterion: CriterionId, orders: Iterable[int],
         claim = _claim(verdict)
         return verdict, claim is None or _oracle(g, claim)
 
-    return _sweep(criterion.value, orders, mode, samples, p, seed, check)
+    return _sweep(criterion.value, orders, mode, samples, p, seed, check,
+                  None if threshold_shift else _CRITERIA[criterion].min_edges)
 
 
 def validate_closure_equivalence(orders: Iterable[int],
