@@ -25,6 +25,7 @@ from hamspec import (
     validate,
 )
 from hamspec import certify, harness
+from hamspec.graph import _edge_mask
 from hamspec.spectral import TOLERANCE
 
 PINS = json.loads((Path(__file__).parent / "data" / "validate_pins.json").read_text())
@@ -123,16 +124,18 @@ def _counting_constructions(monkeypatch):
 
 @pytest.mark.parametrize("criterion", list(CriterionId), ids=lambda c: c.value.split("_")[0])
 def test_only_graphs_in_the_edge_window_are_built(criterion, monkeypatch):
-    drawn = [g.edge_count for g in sample_random(9, 0.8, 40, 3)]
+    """The masks built are exactly the corpus masks inside the window: every
+    in-window labeled mask, and the in-window draws in draw order."""
+    drawn = [_edge_mask(g.rows) for g in sample_random(9, 0.8, 40, 3)]
     built = _counting_constructions(monkeypatch)
     n = max(criterion_order_minimum(criterion), 5)
     npairs, lo = math.comb(n, 2), _min_edges(criterion, n)
     assert validate(criterion, [n]).graphs_checked == 1 << npairs
-    assert len(built) == sum(math.comb(npairs, m) for m in range(lo, npairs + 1))
+    assert sorted(built) == [mask for mask in range(1 << npairs) if mask.bit_count() >= lo]
     built.clear()
     report = validate(criterion, [9], ValidationMode.RANDOM_SAMPLE, samples=40, p=0.8, seed=3)
     assert report.graphs_checked == 40
-    assert len(built) == sum(m >= _min_edges(criterion, 9) for m in drawn)
+    assert built == [mask for mask in drawn if mask.bit_count() >= _min_edges(criterion, 9)]
 
 
 @pytest.mark.parametrize("shift", [-1.0, 1e-3])
