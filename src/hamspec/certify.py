@@ -138,7 +138,9 @@ _CRITERIA = {
 
 
 def criterion_threshold(criterion: CriterionId, n: int) -> float:
-    """The order-n threshold the criterion's spectral radius is compared to."""
+    """The order-n threshold the criterion's spectral radius is compared to;
+    an order below the criterion's minimum is rejected with ValueError."""
+    _check_args(criterion, n, 0.0)
     return _CRITERIA[criterion].threshold(n)
 
 

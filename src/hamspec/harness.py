@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._report import Report
@@ -73,33 +72,20 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, _rows_from_edge_mask(n, mask))
 
 
-def _check_enumerable(n: int) -> None:
+def _labeled_masks(n: int) -> range:
+    """The edge masks of all 2^C(n,2) labeled graphs on n vertices, increasing;
+    an order outside 1..cap is rejected at the call."""
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration capped at order {ENUMERATION_CAP}; use sample_random")
     _check_graph_order(n)
+    return range(1 << n * (n - 1) // 2)
 
 
 def enumerate_labeled(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order.
-
-    An order outside 1..cap is rejected at the call, not at the first draw.
-    """
-    _check_enumerable(n)
-    return (graph_from_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
-
-
-def _edge_strata(nbits: int, lo: int) -> Iterator[int]:
-    """The nbits-bit masks with at least lo bits set, by popcount, each
-    popcount's masks increasing: Gosper's hack gives the next of equal popcount."""
-    end = 1 << nbits
-    for m in range(lo, nbits + 1):
-        mask = (1 << m) - 1
-        while mask < end:
-            yield mask
-            low = mask & -mask or end  # the empty mask is alone in its stratum
-            ripple = mask + low
-            mask = ripple | ((mask ^ ripple) >> 2) // low
+    """All 2^C(n,2) labeled graphs on n vertices, in the edge-mask order of
+    `_labeled_masks`; an order outside 1..cap is rejected at the call."""
+    return (graph_from_edge_mask(n, mask) for mask in _labeled_masks(n))
 
 
 def _random_masks(n: int, p: float, count: int, seed: int) -> Iterator[int]:
@@ -195,10 +181,11 @@ def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
            p: float, seed: int, check, min_edges=None) -> ValidationReport:
     """Run `check(g) -> (verdict or None, sound)` over the corpus and report.
 
-    A graph with fewer than `min_edges(n)` edges, if given, counts as checked
-    but is never built or checked; exhaustive mode walks only the edge counts
-    from min_edges(n) up.  Verdicts feed the prediction, exception and
-    boundary counters; an unsound graph is recorded as a graph6 violation.
+    The corpus of an order is one stream of edge masks: every labeled mask
+    in increasing order, or the mode's random draws.  Every mask counts as
+    checked; one with fewer than `min_edges(n)` bits set, if given, is never
+    built or checked.  Verdicts feed the prediction, exception and boundary
+    counters; an unsound graph is recorded as a graph6 violation.
     """
     orders = tuple(orders)
     if not orders:
@@ -214,15 +201,9 @@ def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
     violations = []
     corpora = []  # all set up, and a bad order or p rejected, before the first graph
     for i, n in enumerate(orders):
-        lo = min_edges(n) if min_edges else 0
-        if mode is ValidationMode.EXHAUSTIVE_LABELED:  # the strata below lo are counted, not walked
-            _check_enumerable(n)
-            npairs = n * (n - 1) // 2
-            checked += sum(comb(npairs, m) for m in range(lo))
-            masks = _edge_strata(npairs, lo)
-        else:
-            masks = _random_masks(n, p, samples, seed + i)
-        corpora.append((n, lo, masks))
+        masks = (_labeled_masks(n) if mode is ValidationMode.EXHAUSTIVE_LABELED
+                 else _random_masks(n, p, samples, seed + i))
+        corpora.append((n, min_edges(n) if min_edges else 0, masks))
     for n, lo, masks in corpora:
         for mask in masks:
             checked += 1
@@ -255,17 +236,17 @@ def validate(criterion: CriterionId, orders: Iterable[int],
              threshold_shift: float = 0.0) -> ValidationReport:
     """Check one criterion against the exact oracle over a graph corpus.
 
-    A graph with fewer edges than its row's `min_edges(n)` is NotSatisfied
-    by that exact rule: it counts as checked but is never built or
-    eigensolved.  Every other graph, and every graph under a nonzero
-    `threshold_shift` (the fault-injection hook, see apply_criterion), is
-    scored with apply_criterion.  The oracle runs only for a verdict that
-    predicts a property without naming an exception, since no other verdict
-    can be unsound, and it decides only the predicted property; a graph that
-    lacks it is recorded by its graph6 string as a violation.  Boundary
-    statuses are counted, never treated as violations.  The shift, and every
-    order against the criterion's minimum, are checked before the first
-    graph is built.
+    A corpus mask with fewer bits set than its row's `min_edges(n)` is a
+    NotSatisfied graph by that exact rule: in either mode it counts as
+    checked but is never built or eigensolved.  Every other graph, and
+    every graph under a nonzero `threshold_shift` (the fault-injection hook,
+    see apply_criterion), is scored with apply_criterion.  The oracle runs
+    only for a verdict that predicts a property without naming an
+    exception, since no other verdict can be unsound, and it decides only
+    the predicted property; a graph that lacks it is recorded by its graph6
+    string as a violation.  Boundary statuses are counted, never treated as
+    violations.  The shift, and every order against the criterion's minimum,
+    are checked before the first graph is built.
     """
     orders = tuple(orders)
     for n in orders:

@@ -76,6 +76,19 @@ def test_order_preconditions():
         apply_criterion(complete(1), T33)
 
 
+@pytest.mark.parametrize("criterion", list(CriterionId), ids=lambda c: c.value.split("_")[0])
+def test_threshold_rejects_orders_below_the_minimum(criterion):
+    """Below its minimum order a criterion has no threshold: T33's would
+    divide by zero at n = 1 and T32's at n = 0, and T34's would read 1.0 at
+    n = 3.  The error is apply_criterion's."""
+    minimum = criterion_order_minimum(criterion)
+    for n in range(minimum):
+        message = f"{criterion.value} requires order >= {minimum}, got {n}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            criterion_threshold(criterion, n)
+    assert math.isfinite(criterion_threshold(criterion, minimum))
+
+
 def test_complete_graph_t42():
     v = apply_criterion(complete(6), T42)
     assert v.lhs == pytest.approx(5, abs=1e-9)

@@ -1,11 +1,11 @@
-"""The edge-count strata of `validate`.
+"""The edge-count window of `validate`.
 
-A graph with fewer edges than its criterion's `min_edges(n)` is counted as
-NotSatisfied without being built.  The reports pinned here were computed by
-the sweep that scored every graph, so the strata must leave them unchanged
-(elapsed time aside); the other tests check the rule against
-`apply_criterion` and the float radius bounds, the stratum walk, and which
-graphs the sweep builds."""
+In both modes, a corpus mask with fewer bits set than its criterion's
+`min_edges(n)` is counted as a NotSatisfied graph without being built.  The
+reports pinned here were computed by the sweep that scored every graph, so
+the window must leave them unchanged (elapsed time aside); the other tests
+check the rule against `apply_criterion` and the float radius bounds, and
+which graphs the sweep builds, in which order."""
 
 import json
 import math
@@ -98,18 +98,6 @@ def test_min_edges_is_the_float_bound_rule(criterion):
     assert min(gaps) > 1e-3
 
 
-@pytest.mark.parametrize("nbits", range(16))
-def test_edge_strata_walk_each_popcount_once_in_increasing_order(nbits):
-    """From popcount m up, each stratum's masks once each, increasing; from 0,
-    every nbits-bit mask."""
-    by_popcount = sorted(range(1 << nbits), key=lambda mask: (mask.bit_count(), mask))
-    assert sorted(harness._edge_strata(nbits, 0)) == list(range(1 << nbits))
-    below = 0
-    for m in range(nbits + 2):
-        assert list(harness._edge_strata(nbits, m)) == by_popcount[below:], m
-        below += math.comb(nbits, m)
-
-
 def _counting_constructions(monkeypatch):
     built = []
     original = harness.graph_from_edge_mask
@@ -124,14 +112,16 @@ def _counting_constructions(monkeypatch):
 
 @pytest.mark.parametrize("criterion", list(CriterionId), ids=lambda c: c.value.split("_")[0])
 def test_only_graphs_in_the_edge_window_are_built(criterion, monkeypatch):
-    """The masks built are exactly the corpus masks inside the window: every
-    in-window labeled mask, and the in-window draws in draw order."""
+    """The masks built are exactly the corpus masks inside the window, in
+    corpus order: the in-window labeled masks as `enumerate_labeled` yields
+    them, and the in-window draws in draw order."""
+    n = max(criterion_order_minimum(criterion), 5)
+    labeled = [_edge_mask(g.rows) for g in enumerate_labeled(n)]
     drawn = [_edge_mask(g.rows) for g in sample_random(9, 0.8, 40, 3)]
     built = _counting_constructions(monkeypatch)
-    n = max(criterion_order_minimum(criterion), 5)
-    npairs, lo = math.comb(n, 2), _min_edges(criterion, n)
-    assert validate(criterion, [n]).graphs_checked == 1 << npairs
-    assert sorted(built) == [mask for mask in range(1 << npairs) if mask.bit_count() >= lo]
+    lo = _min_edges(criterion, n)
+    assert validate(criterion, [n]).graphs_checked == len(labeled)
+    assert built == [mask for mask in labeled if mask.bit_count() >= lo]
     built.clear()
     report = validate(criterion, [9], ValidationMode.RANDOM_SAMPLE, samples=40, p=0.8, seed=3)
     assert report.graphs_checked == 40

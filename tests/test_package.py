@@ -1,9 +1,14 @@
 import ast
+import contextlib
+import io
+import json
 import re
+import shlex
 from pathlib import Path
 from types import ModuleType
 
 import hamspec
+from hamspec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +40,22 @@ def test_star_import_covers_the_readme_tour():
 
 def test_readme_tour_runs():
     exec(compile(_tour(), str(README), "exec"), {})
+
+
+def _cli_lines() -> list[list[str]]:
+    """The commands of the README's CLI block, each without `hamspec` and its comment."""
+    block = re.search(r"## CLI\s+```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs():
+    """Every README CLI line exits 0, and every validate line issues a
+    prediction, so no example passes by checking nothing."""
+    lines = _cli_lines()
+    assert {"analyze", "validate", "remark"} <= {argv[0] for argv in lines}
+    for argv in lines:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0, argv
+        if argv[0] == "validate":
+            assert json.loads(out.getvalue())["predictions_issued"] >= 1, argv
