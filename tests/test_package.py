@@ -1,6 +1,4 @@
 import ast
-import contextlib
-import io
 import json
 import re
 import shlex
@@ -48,14 +46,13 @@ def _cli_lines() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
 
 
-def test_readme_cli_block_runs():
+def test_readme_cli_block_runs(capsys):
     """Every README CLI line exits 0, and every validate line issues a
     prediction, so no example passes by checking nothing."""
     lines = _cli_lines()
     assert {"analyze", "validate", "remark"} <= {argv[0] for argv in lines}
     for argv in lines:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(argv) == 0, argv
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
         if argv[0] == "validate":
-            assert json.loads(out.getvalue())["predictions_issued"] >= 1, argv
+            assert json.loads(out)["predictions_issued"] >= 1, argv
