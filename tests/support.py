@@ -102,6 +102,30 @@ def has_spanning_path_between(g: Graph, u: int, v: int) -> bool:
                for walk in ((u, *mid, v) for mid in permutations(inner)))
 
 
+def reference_table(g: Graph, s: int) -> list[int]:
+    """The plain subset DP from start s: entry mask is the endpoint set of
+    the simple paths from s that cover mask."""
+    n, rows = g.n, g.rows
+    dp = [0] * (1 << n)
+    dp[1 << s] = 1 << s
+    for mask in range(1 << s, 1 << n):
+        ends = dp[mask]
+        while ends:
+            vbit = ends & -ends
+            ends -= vbit
+            ext = rows[vbit.bit_length() - 1] & ~mask
+            while ext:
+                ubit = ext & -ext
+                ext -= ubit
+                dp[mask | ubit] |= ubit
+    return dp
+
+
+def reference_ends(g: Graph) -> list[int]:
+    """Per start, the endpoint set of its spanning paths, by the plain DP."""
+    return [reference_table(g, s)[-1] for s in range(g.n)]
+
+
 def reference_profile(g: Graph) -> dict:
     """`hamilton_profile(g).to_json_dict()` by the plain subset DP: one
     endpoint table from every start, with no early stop."""
@@ -116,18 +140,7 @@ def reference_profile(g: Graph) -> dict:
     has_cycle = False
     witness = failing = None
     for s in range(n):
-        dp = [0] * (1 << n)
-        dp[1 << s] = 1 << s
-        for mask in range(1 << s, 1 << n):
-            ends = dp[mask]
-            while ends:
-                vbit = ends & -ends
-                ends -= vbit
-                ext = rows[vbit.bit_length() - 1] & ~mask
-                while ext:
-                    ubit = ext & -ext
-                    ext -= ubit
-                    dp[mask | ubit] |= ubit
+        dp = reference_table(g, s)
         ends = dp[full]
         if s == 0 and n >= 3 and ends & rows[0]:
             has_cycle = True

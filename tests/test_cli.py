@@ -125,6 +125,31 @@ def test_analyze_oracle_skip_and_cap_ceiling(capsys):
         assert code == 2 and "cannot exceed 24" in err  # even with every order above it
 
 
+def test_oracle_cap_flag_lowers_the_cap(capsys):
+    k6 = write_graph6(complete(6))
+    code, _, err = run_cli(capsys, "oracle", "--g6", k6, "--oracle-cap", "5")
+    assert code == 2 and "cap 5" in err
+    code, out, _ = run_cli(capsys, "analyze", "--g6", k6, "--oracle-cap", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"] is None
+    assert payload["oracle_skipped"] == "order 6 above oracle cap 5"
+    code, out, _ = run_cli(capsys, "remark", "--oracle-cap", "5")  # orders 6, 14, 15
+    assert code == 0
+    assert [row["oracle_has_cycle"] for row in json.loads(out)["rows"]] == [None] * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--g6", write_graph6(complete(6))],
+    ["oracle", "--g6", write_graph6(complete(21))],
+    ["analyze", "--g6", write_graph6(complete(6))],
+    ["analyze", "--g6", write_graph6(complete(21))],
+    ["remark"],
+])
+def test_oracle_cap_flag_omitted_means_cap_20(capsys, argv):
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--oracle-cap", "20")
+
+
 def test_oracle_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HAMSPEC_ORACLE_CAP", "5")
     code, _, err = run_cli(capsys, "oracle", "--g6", write_graph6(complete(6)))

@@ -27,9 +27,11 @@ from hamspec import (
     random_regular,
     triangle_pairs,
 )
+from hamspec import hamilton
 from hamspec.harness import canonical_graph6
 
-from support import complete_split, petersen, prism, random_graph, reference_profile
+from support import (
+    complete_split, petersen, prism, random_graph, reference_ends, reference_profile)
 
 
 def test_petersen_has_path_but_no_cycle():
@@ -113,6 +115,39 @@ def test_early_stopping_scan_matches_the_all_starts_dp(corpus):
         assert has_hamiltonian_path(g) == ref["has_path"], g
         assert has_hamiltonian_cycle(g) == ref["has_cycle"], g
         assert is_hamilton_connected(g) == ref["hamilton_connected"], g
+
+
+@pytest.mark.parametrize("corpus", ["labeled orders 1-5", "seeded orders 7-10"])
+def test_each_entry_point_builds_the_tables_its_answer_needs(corpus, monkeypatch):
+    """Per graph, the endpoint tables each entry point builds, from the
+    plain all-starts DP's endpoint sets: the path predicate stops at the
+    first start with a spanning path, the cycle predicate after start 0 and
+    Hamilton-connectivity at the first start that misses an endpoint; the
+    profile builds all n, and a disconnected graph none."""
+    built = Counter()
+    table = hamilton._endpoint_table
+
+    def counted(*args):
+        built["tables"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(hamilton, "_endpoint_table", counted)
+    graphs = (chain.from_iterable(enumerate_labeled(n) for n in range(1, 6))
+              if corpus.startswith("labeled") else _seeded_sample())
+    for g in graphs:
+        n, full = g.n, (1 << g.n) - 1
+        ends = reference_ends(g)
+        want = {
+            hamilton_profile: n,
+            has_hamiltonian_path: next((s + 1 for s, e in enumerate(ends) if e), n),
+            has_hamiltonian_cycle: 1,
+            is_hamilton_connected: next(
+                (s + 1 for s, e in enumerate(ends) if e | 1 << s != full), n),
+        }
+        for entry_point, tables in want.items():
+            built.clear()
+            entry_point(g)
+            assert built["tables"] == (tables if g.is_connected() else 0), (entry_point, g)
 
 
 def test_oracle_capacity_errors():
