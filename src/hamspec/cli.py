@@ -10,19 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .graph import Graph
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .families import FAMILY_PARAMS, construct, family_spec
 from .closure import k_closure
-from .hamilton import CapacityError, DEFAULT_ORACLE_CAP, hamilton_profile
+from .hamilton import CapacityError, hamilton_profile
 from .spectral import bound_suite, spectral_summary
 from .certify import CriterionId, apply_criterion, criterion_order_minimum
 from .harness import ValidationMode, remark_scan, validate
-
-ORACLE_CAP_ENV = "HAMSPEC_ORACLE_CAP"
 
 
 def _round12(value):
@@ -150,13 +147,6 @@ def _input_graphs(args) -> list[Graph]:
     return graphs
 
 
-def _oracle_cap(args) -> int:
-    if args.oracle_cap is not None:
-        return args.oracle_cap
-    env = os.environ.get(ORACLE_CAP_ENV)
-    return _int(env, ORACLE_CAP_ENV) if env else DEFAULT_ORACLE_CAP
-
-
 def _analyze_one(g: Graph, args) -> dict:
     summary = spectral_summary(g)
     payload = {
@@ -175,7 +165,7 @@ def _analyze_one(g: Graph, args) -> dict:
         else:
             payload["criteria"].append(apply_criterion(g, criterion).to_json_dict())
     try:
-        payload["oracle"] = hamilton_profile(g, _oracle_cap(args)).to_json_dict()
+        payload["oracle"] = hamilton_profile(g, args.oracle_cap).to_json_dict()
         payload["oracle_skipped"] = None
     except CapacityError as exc:
         payload["oracle"] = None
@@ -195,7 +185,7 @@ def _closure_one(g: Graph, args) -> dict:
 
 
 def _oracle_one(g: Graph, args) -> dict:
-    return {**hamilton_profile(g, _oracle_cap(args)).to_json_dict(), "graph6": write_graph6(g)}
+    return {**hamilton_profile(g, args.oracle_cap).to_json_dict(), "graph6": write_graph6(g)}
 
 
 def _cmd_per_graph(args) -> int:
@@ -234,7 +224,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_remark(args) -> int:
-    rows = remark_scan(range(args.r_min, args.r_max + 1), oracle_cap=_oracle_cap(args))
+    rows = remark_scan(range(args.r_min, args.r_max + 1), oracle_cap=args.oracle_cap)
     _emit({"rows": [row.to_json_dict() for row in rows]}, args)
     return 0
 

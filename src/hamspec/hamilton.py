@@ -2,11 +2,11 @@
 
 The oracle is a subset dynamic program over (visited set, endpoint) states
 run from a fixed start vertex: O(2^n * n^2) time and one 2^n-entry table,
-exact for every input.  One scan runs it from starts 0, 1, ...; each
-predicate stops it as soon as its answer is settled: a Hamiltonian path at
-the first start that reaches every vertex, a cycle after start 0,
-Hamilton-connectivity at the first start with a missing endpoint.  The full
-profile runs every start, so its cost does not depend on the answer.
+exact for every input.  One lazy stream yields the spanning-path endpoints
+of starts 0, 1, ..., building a table only when it is read and none for a
+disconnected graph.  A predicate reads it only until its answer is settled
+(path: a start reaching every vertex; cycle: start 0; Hamilton-connectivity:
+a start missing an endpoint); the profile reads every start.
 
 The three properties are the rows of one table, `_PROPERTIES`, keyed by the
 `Prediction` that claims each.  Every pairing of a property with its profile
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, inf
-from typing import Callable
+from typing import Iterator
 
 from ._report import Report
 from .graph import Graph, complement
@@ -109,31 +109,14 @@ def _reconstruct(rows, dp, start: int, end: int, n: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _scan(g: Graph, max_order: int | None,
-          settled: Callable[[tuple | None, tuple | None], bool]) -> HamiltonProfile:
-    """The profile from starts 0, 1, ..., stopping after the first start at
-    which `settled(witness, failing_pair)` holds.  has_cycle is exact after
-    start 0; a field the caller does not ask for may be wrong after a stop."""
+def _spanning_ends(g: Graph, max_order: int | None) -> Iterator[tuple[int, int, list | None]]:
+    """(start, endpoints of its spanning paths, its table) for starts 0, 1, ...,
+    checking the cap at the call; a disconnected graph yields (start, 0, None)."""
     _check_cap(g.n, max_order)
     if not g.is_connected():
-        return HamiltonProfile(False, False, False, None, (0, 1))
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    has_cycle = False
-    witness = failing = None
-    for s in range(n):
-        dp = _endpoint_table(rows, n, s)
-        ends = dp[full]
-        if s == 0:
-            has_cycle = n >= 3 and bool(ends & rows[0])
-        if ends and witness is None:
-            witness = _reconstruct(rows, dp, s, (ends & -ends).bit_length() - 1, n)
-        missing = (full ^ (1 << s)) & ~ends
-        if missing and failing is None:
-            failing = (s, (missing & -missing).bit_length() - 1)
-        if settled(witness, failing):
-            break
-    return HamiltonProfile(witness is not None, has_cycle, failing is None, witness, failing)
+        return ((s, 0, None) for s in range(g.n))
+    tables = (_endpoint_table(g.rows, g.n, s) for s in range(g.n))
+    return ((s, dp[-1], dp) for s, dp in enumerate(tables))
 
 
 def hamilton_profile(g: Graph, max_order: int | None = None) -> HamiltonProfile:
@@ -141,25 +124,38 @@ def hamilton_profile(g: Graph, max_order: int | None = None) -> HamiltonProfile:
 
     Conventions for tiny orders: the one-vertex graph has a Hamiltonian path
     and is Hamilton-connected (vacuously); an adjacent pair is
-    Hamilton-connected; cycles need n >= 3.  Disconnected graphs
-    short-circuit to all-false.  The witness is the first path found in
-    (start, endpoint) order; the failing pair is the lexicographically
-    smallest pair with no spanning path.  Every start runs, whatever the
-    answers turn out to be.
+    Hamilton-connected; cycles need n >= 3.  A disconnected graph is
+    all-false with failing pair (0, 1), by the stream's rule.  The witness is
+    the first path found in (start, endpoint) order; the failing pair is the
+    lexicographically smallest pair with no spanning path.  Every start of
+    the stream is read, whatever the answers turn out to be.
     """
-    return _scan(g, max_order, lambda witness, failing: False)
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    has_cycle = False
+    witness = failing = None
+    for s, ends, dp in _spanning_ends(g, max_order):
+        has_cycle |= s == 0 and n >= 3 and bool(ends & rows[0])
+        if ends and witness is None:
+            witness = _reconstruct(rows, dp, s, (ends & -ends).bit_length() - 1, n)
+        missing = (full ^ (1 << s)) & ~ends
+        if missing and failing is None:
+            failing = (s, (missing & -missing).bit_length() - 1)
+    return HamiltonProfile(witness is not None, has_cycle, failing is None, witness, failing)
 
 
 def has_hamiltonian_path(g: Graph, max_order: int | None = None) -> bool:
-    return _scan(g, max_order, lambda witness, failing: witness is not None).has_path
+    return any(ends for _, ends, _ in _spanning_ends(g, max_order))
 
 
 def has_hamiltonian_cycle(g: Graph, max_order: int | None = None) -> bool:
-    return _scan(g, max_order, lambda witness, failing: True).has_cycle
+    _, ends, _ = next(_spanning_ends(g, max_order))
+    return g.n >= 3 and bool(ends & g.rows[0])
 
 
 def is_hamilton_connected(g: Graph, max_order: int | None = None) -> bool:
-    return _scan(g, max_order, lambda witness, failing: failing is not None).hamilton_connected
+    full = (1 << g.n) - 1
+    return all(ends | 1 << s == full for s, ends, _ in _spanning_ends(g, max_order))
 
 
 @dataclass(frozen=True)

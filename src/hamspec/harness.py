@@ -24,7 +24,6 @@ from .closure import k_closure
 from .hamilton import (
     _PROPERTIES,
     CapacityError,
-    DEFAULT_ORACLE_CAP,
     _check_cap,
     _Property,
     has_hamiltonian_cycle,
@@ -89,10 +88,12 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
 
 
 def _random_masks(n: int, p: float, count: int, seed: int) -> Iterator[int]:
-    """Edge masks of `count` G(n, p) draws; the order and p are checked at the call."""
+    """Edge masks of `count` G(n, p) draws; order, p and count are checked at the call."""
     _check_graph_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    if count < 1:
+        raise ValueError(f"need at least one sample, got {count}")
     rng = Lcg(seed)
     npairs = n * (n - 1) // 2
     return (sum(1 << bit for bit in range(npairs) if rng.uniform() < p) for _ in range(count))
@@ -101,7 +102,7 @@ def _random_masks(n: int, p: float, count: int, seed: int) -> Iterator[int]:
 def sample_random(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
     """`count` independent G(n, p) draws from the documented generator.
 
-    The order and p are rejected at the call, not at the first draw.
+    The order, p and count are rejected at the call, not at the first draw.
     """
     return (graph_from_edge_mask(n, mask) for mask in _random_masks(n, p, count, seed))
 
@@ -190,8 +191,6 @@ def _sweep(name: str, orders: Iterable[int], mode: ValidationMode, samples: int,
     orders = tuple(orders)
     if not orders:
         raise ValueError("no orders to validate")
-    if mode is ValidationMode.RANDOM_SAMPLE and samples < 1:
-        raise ValueError(f"random mode needs at least one sample per order, got {samples}")
     for n in orders:
         if n < 1:
             raise ValueError(f"orders must be >= 1, got {n}")
@@ -302,15 +301,15 @@ def admissible_remark_window(r: int) -> range:
 
 
 def remark_scan(r_values: Iterable[int],
-                oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[RemarkRow]:
+                oracle_cap: int | None = None) -> list[RemarkRow]:
     """Scan the adjacency-vs-signless comparison family over admissible (r, s).
 
     Each row checks the exact sign conditions (f(n-2) > 0, g(2n-4) <= 0) and
     the spectral gates, which are the verdicts of T42 (NotSatisfied: mu below
     n-2) and T41 (Satisfied: gamma at least 2(n-2)); the oracle column is
-    filled only when the order is within `oracle_cap`, which may not exceed
-    the oracle's hard ceiling.  The window is nonempty for every r >= 2, so
-    only an empty r range gives no row, and it is rejected.
+    filled only when the order is within `oracle_cap` (None: the default
+    cap), at most the oracle's hard ceiling.  The window is nonempty for every
+    r >= 2, so only an empty r range gives no row, and it is rejected.
     """
     rows = []
     for r in r_values:

@@ -150,17 +150,6 @@ def test_oracle_cap_flag_omitted_means_cap_20(capsys, argv):
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--oracle-cap", "20")
 
 
-def test_oracle_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HAMSPEC_ORACLE_CAP", "5")
-    code, _, err = run_cli(capsys, "oracle", "--g6", write_graph6(complete(6)))
-    assert code == 2
-    assert "cap 5" in err
-    monkeypatch.setenv("HAMSPEC_ORACLE_CAP", "abc")
-    code, _, err = run_cli(capsys, "oracle", "--g6", write_graph6(complete(6)))
-    assert code == 2
-    assert "HAMSPEC_ORACLE_CAP" in err
-
-
 def test_malformed_graph6_names_byte_offset(capsys):
     code, _, err = run_cli(capsys, "analyze", "--g6", "C(")
     assert code == 2

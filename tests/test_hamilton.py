@@ -104,9 +104,9 @@ def _seeded_sample():
 
 @pytest.mark.parametrize("corpus", ["labeled orders 1-6", "seeded orders 7-10"])
 def test_early_stopping_scan_matches_the_all_starts_dp(corpus):
-    """The three predicates stop early and the profile shares their scan;
-    every answer, witness and failing pair must equal the plain all-starts
-    DP's."""
+    """The three predicates read the one per-start stream only until their
+    answer is settled, and the profile reads all of it; every answer,
+    witness and failing pair must equal the plain all-starts DP's."""
     graphs = (chain.from_iterable(enumerate_labeled(n) for n in range(1, 7))
               if corpus.startswith("labeled") else _seeded_sample())
     for g in graphs:
@@ -123,31 +123,38 @@ def test_each_entry_point_builds_the_tables_its_answer_needs(corpus, monkeypatch
     plain all-starts DP's endpoint sets: the path predicate stops at the
     first start with a spanning path, the cycle predicate after start 0 and
     Hamilton-connectivity at the first start that misses an endpoint; the
-    profile builds all n, and a disconnected graph none."""
-    built = Counter()
-    table = hamilton._endpoint_table
+    profile builds all n, and a disconnected graph none.  Only the profile
+    walks a witness back through a table."""
+    calls = Counter()
 
-    def counted(*args):
-        built["tables"] += 1
-        return table(*args)
+    def counted(name):
+        real = getattr(hamilton, name)
 
-    monkeypatch.setattr(hamilton, "_endpoint_table", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hamilton, name, wrapper)
+
+    counted("_endpoint_table")
+    counted("_reconstruct")
     graphs = (chain.from_iterable(enumerate_labeled(n) for n in range(1, 6))
               if corpus.startswith("labeled") else _seeded_sample())
     for g in graphs:
         n, full = g.n, (1 << g.n) - 1
         ends = reference_ends(g)
         want = {
-            hamilton_profile: n,
-            has_hamiltonian_path: next((s + 1 for s, e in enumerate(ends) if e), n),
-            has_hamiltonian_cycle: 1,
-            is_hamilton_connected: next(
-                (s + 1 for s, e in enumerate(ends) if e | 1 << s != full), n),
+            hamilton_profile: (n, int(any(ends))),
+            has_hamiltonian_path: (next((s + 1 for s, e in enumerate(ends) if e), n), 0),
+            has_hamiltonian_cycle: (1, 0),
+            is_hamilton_connected: (
+                next((s + 1 for s, e in enumerate(ends) if e | 1 << s != full), n), 0),
         }
-        for entry_point, tables in want.items():
-            built.clear()
+        for entry_point, (tables, walks) in want.items():
+            calls.clear()
             entry_point(g)
-            assert built["tables"] == (tables if g.is_connected() else 0), (entry_point, g)
+            assert calls["_endpoint_table"] == (tables if g.is_connected() else 0), (entry_point, g)
+            assert calls["_reconstruct"] == walks, (entry_point, g)
 
 
 def test_oracle_capacity_errors():

@@ -98,6 +98,12 @@ def test_sample_random_is_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_random_rejects_a_count_below_one(count):
+    with pytest.raises(ValueError, match="at least one sample"):
+        sample_random(6, 0.5, count, seed=1)  # at the call, before any draw
+
+
 def test_random_regular_degrees_and_determinism():
     g = random_regular(9, 4, seed=5)
     assert g.degrees() == [4] * 9
