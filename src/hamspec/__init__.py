@@ -76,7 +76,6 @@ from .harness import (
     random_regular,
     remark_scan,
     sample_random,
-    triangle_pairs,
     validate,
     validate_closure_equivalence,
 )

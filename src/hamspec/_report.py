@@ -9,13 +9,12 @@ from fractions import Fraction
 
 class Report:
     """Base of the report dataclasses: `to_json_dict` returns every field in
-    declaration order, keyed by its name or by `field(metadata={"json": key})`.
-    Values convert recursively: an enum to its value, a tuple to a list, a
-    Fraction to a float; None, bools, ints, floats and strings stay."""
+    declaration order, keyed by its name.  Values convert recursively: an
+    enum to its value, a tuple to a list, a Fraction to a float; None,
+    bools, ints, floats and strings stay."""
 
     def to_json_dict(self) -> dict:
-        return {f.metadata.get("json", f.name): _json(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
+        return {f.name: _json(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
 def _json(value):

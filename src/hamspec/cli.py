@@ -148,12 +148,11 @@ def _input_graphs(args) -> list[Graph]:
 
 
 def _analyze_one(g: Graph, args) -> dict:
-    summary = spectral_summary(g)
     payload = {
         "graph6": write_graph6(g),
         "order": g.n,
-        "spectral": summary.to_json_dict(),
-        "bounds": [b.to_json_dict() for b in bound_suite(g, summary)],
+        "spectral": spectral_summary(g).to_json_dict(),
+        "bounds": [b.to_json_dict() for b in bound_suite(g)],
         "criteria": [],
         "criteria_skipped": [],
     }

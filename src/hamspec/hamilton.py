@@ -6,7 +6,9 @@ exact for every input.  One lazy stream yields the spanning-path endpoints
 of starts 0, 1, ..., building a table only when it is read and none for a
 disconnected graph.  A predicate reads it only until its answer is settled
 (path: a start reaching every vertex; cycle: start 0; Hamilton-connectivity:
-a start missing an endpoint); the profile reads every start.
+a start missing an endpoint); the profile reads every start, dropping each
+table before the next is built.  Every entry point names its order cap
+`oracle_cap`.
 
 The three properties are the rows of one table, `_PROPERTIES`, keyed by the
 `Prediction` that claims each.  Every pairing of a property with its profile
@@ -24,7 +26,7 @@ from ._report import Report
 from .graph import Graph, complement
 
 DEFAULT_ORACLE_CAP = 20
-HARD_ORACLE_CAP = 24  # the 2^n endpoint table is the binding memory constraint
+HARD_ORACLE_CAP = 24  # one 2^n endpoint table is the binding memory constraint
 
 
 class CapacityError(Exception):
@@ -65,9 +67,9 @@ _PROPERTIES = {
 }
 
 
-def _check_cap(n: int, max_order: int | None) -> None:
+def _check_cap(n: int, oracle_cap: int | None) -> None:
     """Reject a cap above the hard ceiling, then an order above the cap."""
-    cap = DEFAULT_ORACLE_CAP if max_order is None else max_order
+    cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
     if cap > HARD_ORACLE_CAP:
         raise ValueError(f"oracle cap cannot exceed {HARD_ORACLE_CAP}")
     if n > cap:
@@ -109,17 +111,21 @@ def _reconstruct(rows, dp, start: int, end: int, n: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _spanning_ends(g: Graph, max_order: int | None) -> Iterator[tuple[int, int, list | None]]:
+def _spanning_ends(g: Graph, oracle_cap: int | None) -> Iterator[tuple[int, int, list | None]]:
     """(start, endpoints of its spanning paths, its table) for starts 0, 1, ...,
-    checking the cap at the call; a disconnected graph yields (start, 0, None)."""
-    _check_cap(g.n, max_order)
+    checking the cap at the call; a disconnected graph yields (start, 0, None).
+    The stream keeps no table: a reader that drops each one holds one at a time."""
+    _check_cap(g.n, oracle_cap)
     if not g.is_connected():
         return ((s, 0, None) for s in range(g.n))
-    tables = (_endpoint_table(g.rows, g.n, s) for s in range(g.n))
-    return ((s, dp[-1], dp) for s, dp in enumerate(tables))
+
+    def ends_from(s: int) -> tuple[int, int, list]:
+        dp = _endpoint_table(g.rows, g.n, s)
+        return s, dp[-1], dp
+    return map(ends_from, range(g.n))
 
 
-def hamilton_profile(g: Graph, max_order: int | None = None) -> HamiltonProfile:
+def hamilton_profile(g: Graph, oracle_cap: int | None = None) -> HamiltonProfile:
     """Exact path / cycle / Hamilton-connectivity answers with witnesses.
 
     Conventions for tiny orders: the one-vertex graph has a Hamiltonian path
@@ -134,28 +140,29 @@ def hamilton_profile(g: Graph, max_order: int | None = None) -> HamiltonProfile:
     full = (1 << n) - 1
     has_cycle = False
     witness = failing = None
-    for s, ends, dp in _spanning_ends(g, max_order):
+    for s, ends, dp in _spanning_ends(g, oracle_cap):
         has_cycle |= s == 0 and n >= 3 and bool(ends & rows[0])
         if ends and witness is None:
             witness = _reconstruct(rows, dp, s, (ends & -ends).bit_length() - 1, n)
         missing = (full ^ (1 << s)) & ~ends
         if missing and failing is None:
             failing = (s, (missing & -missing).bit_length() - 1)
+        del dp  # start s's table goes before start s + 1's is built
     return HamiltonProfile(witness is not None, has_cycle, failing is None, witness, failing)
 
 
-def has_hamiltonian_path(g: Graph, max_order: int | None = None) -> bool:
-    return any(ends for _, ends, _ in _spanning_ends(g, max_order))
+def has_hamiltonian_path(g: Graph, oracle_cap: int | None = None) -> bool:
+    return any(ends for _, ends, _ in _spanning_ends(g, oracle_cap))
 
 
-def has_hamiltonian_cycle(g: Graph, max_order: int | None = None) -> bool:
-    _, ends, _ = next(_spanning_ends(g, max_order))
+def has_hamiltonian_cycle(g: Graph, oracle_cap: int | None = None) -> bool:
+    _, ends, _ = next(_spanning_ends(g, oracle_cap))
     return g.n >= 3 and bool(ends & g.rows[0])
 
 
-def is_hamilton_connected(g: Graph, max_order: int | None = None) -> bool:
+def is_hamilton_connected(g: Graph, oracle_cap: int | None = None) -> bool:
     full = (1 << g.n) - 1
-    return all(ends | 1 << s == full for s, ends, _ in _spanning_ends(g, max_order))
+    return all(ends | 1 << s == full for s, ends, _ in _spanning_ends(g, oracle_cap))
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,6 @@ class Lcg:
             items[i], items[j] = items[j], items[i]
 
 
-def triangle_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs in column-major order; bit i of an edge mask is pair i."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, _rows_from_edge_mask(n, mask))
 

@@ -9,7 +9,7 @@ and every verdict in `certify`: it is the one tie rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -81,9 +81,9 @@ class SpectralSummary(Report):
     gamma: float
     edge_count: int
     degrees: tuple[int, ...]
-    avg_neighbor: tuple[Fraction, ...] = field(metadata={"json": "avg_neighbor_degree"})
+    avg_neighbor_degree: tuple[Fraction, ...]
     degree_square_sum: int
-    max_d_plus_m: Fraction = field(metadata={"json": "max_degree_plus_avg_neighbor"})
+    max_degree_plus_avg_neighbor: Fraction
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
@@ -93,9 +93,9 @@ def spectral_summary(g: Graph) -> SpectralSummary:
         gamma=signless_spectral_radius(g),
         edge_count=g.edge_count,
         degrees=tuple(degs),
-        avg_neighbor=tuple(avg),
+        avg_neighbor_degree=tuple(avg),
         degree_square_sum=sum(d * d for d in degs),
-        max_d_plus_m=max(d + m for d, m in zip(degs, avg)),
+        max_degree_plus_avg_neighbor=max(d + m for d, m in zip(degs, avg)),
     )
 
 
@@ -107,10 +107,10 @@ class BoundReport(Report):
     slack: float
     holds: bool
     equality: bool
-    equality_case_expected: bool = field(metadata={"json": "equality_expected"})
+    equality_expected: bool
 
 
-def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundReport]:
+def bound_suite(g: Graph) -> list[BoundReport]:
     """Evaluate every applicable bound on g, one report per bound, in
     BOUND_IDS order.
 
@@ -119,7 +119,7 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
     e(G) = 0.  A bound holds when `_sign(slack) >= 0` and is an equality
     when `_sign(slack) == 0`; the degree-mean bound's slack is exact.
     """
-    s = summary or spectral_summary(g)
+    s = spectral_summary(g)
     n, m = g.n, s.edge_count
     mean_rhs = Fraction(2 * m, n - 1) + (n - 2) if n >= 2 else None
     if g.is_connected():
@@ -130,10 +130,10 @@ def bound_suite(g: Graph, summary: SpectralSummary | None = None) -> list[BoundR
     sides = {
         "mu_edge_upper": (s.mu, -0.5 + math.sqrt(2 * m + 0.25),
                           recognizers.is_complete_plus_isolated(g)),
-        "dm_mean_upper": (s.max_d_plus_m, mean_rhs,
+        "dm_mean_upper": (s.max_degree_plus_avg_neighbor, mean_rhs,
                           bool(recognizers.universal_vertices(g))
                           or recognizers.is_clique_plus_isolated(g)) if n >= 2 else None,
-        "gamma_dm_upper": (s.gamma, s.max_d_plus_m,
+        "gamma_dm_upper": (s.gamma, s.max_degree_plus_avg_neighbor,
                            recognizers.all_nontrivial_components_regular_or_semiregular(g)),
         "gamma_mean_upper": (s.gamma, mean_rhs, mean_expected) if n >= 2 else None,
         "hofmeister_lower": (s.degree_square_sum, n * s.mu * s.mu, False),

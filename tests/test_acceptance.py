@@ -95,9 +95,9 @@ def test_a2_bound_suite_soundness():
             if not rep.holds:
                 failures.append((write_graph6(g), rep.bound, rep.slack))
             if rep.bound in CHARACTERIZED_BOUNDS:
-                if rep.equality_case_expected and not rep.equality:
+                if rep.equality_expected and not rep.equality:
                     failures.append((write_graph6(g), rep.bound, "expected-equality-missing"))
-                if rep.slack > 1e-6 and rep.equality_case_expected:
+                if rep.slack > 1e-6 and rep.equality_expected:
                     failures.append((write_graph6(g), rep.bound, "flag-on-clear-negative"))
 
     for n in range(1, 6):
@@ -123,7 +123,7 @@ def test_a2_bound_suite_soundness():
     positives += [("gamma_dm_upper", random_regular(10, d, seed=d)) for d in (2, 4, 6)]
     for bound, g in positives:
         rep = next(r for r in bound_suite(g) if r.bound == bound)
-        if not (rep.equality and rep.equality_case_expected):
+        if not (rep.equality and rep.equality_expected):
             failures.append((write_graph6(g), bound, "constructed-positive-missed"))
 
     _finish("2 bound-suite-soundness", start, 120, not failures, f" {failures[:4]}")

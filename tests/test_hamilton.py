@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -25,7 +26,6 @@ from hamspec import (
     has_hamiltonian_path,
     is_hamilton_connected,
     random_regular,
-    triangle_pairs,
 )
 from hamspec import hamilton
 from hamspec.harness import canonical_graph6
@@ -157,13 +157,30 @@ def test_each_entry_point_builds_the_tables_its_answer_needs(corpus, monkeypatch
             assert calls["_reconstruct"] == walks, (entry_point, g)
 
 
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("g", [cycle(12), complete(12)], ids=["C12", "K12"])
+def test_profile_holds_one_endpoint_table_at_a_time(g):
+    """The profile reads all n starts, but each start's 2^n table is
+    released before the next one is built: its peak stays near one table's."""
+    one_table = _peak_bytes(lambda: hamilton._endpoint_table(g.rows, g.n, 0))
+    assert _peak_bytes(lambda: hamilton_profile(g)) <= 1.3 * one_table
+
+
 def test_oracle_capacity_errors():
     big = complete(21)
     with pytest.raises(CapacityError):
         hamilton_profile(big)
-    hamilton_profile(complete(12), max_order=24)  # explicit override works
+    hamilton_profile(complete(12), oracle_cap=24)  # explicit override works
     with pytest.raises(ValueError):
-        hamilton_profile(big, max_order=25)
+        hamilton_profile(big, oracle_cap=25)
 
 
 def _flags(g):
@@ -277,7 +294,7 @@ def test_complete_split_3_3_is_the_surplus_two_counterexample():
 
 def _ore_flags_all_masks(n):
     """Vectorized degree-sum thresholds for every labeled graph on n vertices."""
-    pairs = triangle_pairs(n)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # bit b of an edge mask is pairs[b]
     size = 1 << len(pairs)
     masks = np.arange(size, dtype=np.int64)
     deg = np.zeros((n, size), dtype=np.int8)

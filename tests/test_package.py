@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import json
 import re
 import shlex
@@ -6,7 +8,21 @@ from pathlib import Path
 from types import ModuleType
 
 import hamspec
-from hamspec import cli
+from hamspec import (
+    CriterionId,
+    apply_criterion,
+    bound_suite,
+    cli,
+    cycle,
+    hamilton_profile,
+    has_hamiltonian_cycle,
+    has_hamiltonian_path,
+    is_hamilton_connected,
+    remark_scan,
+    spectral_summary,
+    validate,
+)
+from hamspec._report import Report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,6 +44,25 @@ def _tour_names() -> set[str]:
 def test_star_import_exports_no_submodules():
     assert not [name for name in hamspec.__all__
                 if isinstance(getattr(hamspec, name), ModuleType)]
+
+
+def test_every_report_keys_its_json_by_field_name():
+    """One real instance of each report class: the JSON keys are the field
+    names, in declaration order, with no second name for any field."""
+    g = cycle(5)
+    reports = [spectral_summary(g), bound_suite(g)[0], hamilton_profile(g),
+               apply_criterion(g, CriterionId.T42_AdjacencyPathCycle),
+               validate(CriterionId.T42_AdjacencyPathCycle, [4]), remark_scan([2])[0]]
+    assert {type(r) for r in reports} == set(Report.__subclasses__())
+    for report in reports:
+        assert list(report.to_json_dict()) == [f.name for f in dataclasses.fields(report)]
+
+
+def test_every_oracle_cap_parameter_is_named_oracle_cap():
+    for entry_point in (hamilton_profile, has_hamiltonian_path, has_hamiltonian_cycle,
+                        is_hamilton_connected, remark_scan):
+        params = inspect.signature(entry_point).parameters
+        assert list(params)[-1] == "oracle_cap", entry_point.__name__
 
 
 def test_star_import_covers_the_readme_tour():

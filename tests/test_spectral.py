@@ -174,14 +174,14 @@ def test_gamma_mean_equality_cases():
     # disconnected equality case: clique plus isolated vertex, gamma = 2m/(n-1) + n-2
     rep = _report(clique_plus_isolated(6), "gamma_mean_upper")
     assert rep.rhs == pytest.approx(8)
-    assert rep.equality and rep.equality_case_expected
+    assert rep.equality and rep.equality_expected
 
     for g in (star(7), complete(5), complete(2)):
         rep = _report(g, "gamma_mean_upper")
-        assert rep.equality and rep.equality_case_expected
+        assert rep.equality and rep.equality_expected
 
     rep = _report(cycle(5), "gamma_mean_upper")
-    assert rep.holds and not rep.equality and not rep.equality_case_expected
+    assert rep.holds and not rep.equality and not rep.equality_expected
 
 
 def test_mu_edge_equality_exactly_on_complete_plus_isolated():
@@ -191,24 +191,24 @@ def test_mu_edge_equality_exactly_on_complete_plus_isolated():
             for _ in range(j):
                 g = disjoint_union(g, from_edges(1, []))
             rep = _report(g, "mu_edge_upper")
-            assert rep.equality and rep.equality_case_expected
+            assert rep.equality and rep.equality_expected
     rng = random.Random(12)
     checked = 0
     while checked < 500:
         g = random_graph(3 + rng.randrange(8), rng.random(), rng)
         rep = _report(g, "mu_edge_upper")
         assert rep.holds
-        if rep.equality_case_expected:
+        if rep.equality_expected:
             assert rep.equality
         if rep.slack > 1e-6:
-            assert not rep.equality_case_expected
+            assert not rep.equality_expected
         checked += 1
 
 
 def test_empty_graph_mu_edge_equality():
     rep = _report(from_edges(3, []), "mu_edge_upper")
     assert rep.lhs == pytest.approx(0) and rep.rhs == pytest.approx(0)
-    assert rep.equality and rep.equality_case_expected
+    assert rep.equality and rep.equality_expected
 
 
 def test_dm_mean_equality_iff_recognizer():
@@ -218,13 +218,13 @@ def test_dm_mean_equality_iff_recognizer():
         for g in enumerate_labeled(n):
             rep = _report(g, "dm_mean_upper")
             assert rep.holds
-            assert rep.equality == rep.equality_case_expected
+            assert rep.equality == rep.equality_expected
     rng = random.Random(21)
     for _ in range(300):
         g = random_graph(4 + rng.randrange(10), rng.random(), rng)
         rep = _report(g, "dm_mean_upper")
         assert rep.holds
-        assert rep.equality == rep.equality_case_expected
+        assert rep.equality == rep.equality_expected
 
 
 def test_gamma_dm_equality_on_regular_and_semiregular():
@@ -238,9 +238,9 @@ def test_gamma_dm_equality_on_regular_and_semiregular():
     ]
     for g in positives:
         rep = _report(g, "gamma_dm_upper")
-        assert rep.equality and rep.equality_case_expected
+        assert rep.equality and rep.equality_expected
     rep = _report(path(4), "gamma_dm_upper")
-    assert rep.holds and not rep.equality and not rep.equality_case_expected
+    assert rep.holds and not rep.equality and not rep.equality_expected
 
 
 def test_bound_suite_holds_on_random_batch():
@@ -286,7 +286,7 @@ def test_bound_flags_pinned_on_small_and_sampled_graphs():
         if g.edge_count == 0:
             skipped.add("gamma_ratio_lower")
         assert [r.bound for r in reports] == [b for b in BOUND_IDS if b not in skipped]
-        counts.update((r.bound, r.holds, r.equality, r.equality_case_expected) for r in reports)
+        counts.update((r.bound, r.holds, r.equality, r.equality_expected) for r in reports)
     assert counts == _FLAG_COUNTS
 
 
